@@ -95,7 +95,8 @@ struct campaign_options {
     /// unsharded run.
     std::string queue_dir;
     /// Queue-mode heartbeat cadence: how often this worker touches its
-    /// heartbeat file (and how long it idles between queue polls).
+    /// heartbeat file; also the cap on its idle backoff between queue
+    /// polls (10 ms, doubling while peers hold every remaining lease).
     double lease_heartbeat_seconds = 1.0;
     /// Queue-mode takeover threshold: a cross-host holder whose heartbeat
     /// mtime trails ours by more than this is treated as dead and its lease

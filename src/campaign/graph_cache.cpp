@@ -37,13 +37,17 @@ cache_obs& cache_metrics()
 
 // Sidecar file format, one entry per line:
 //
-//   # dlb lambda sidecar v1
+//   # dlb lambda sidecar v2
 //   <lambda_cache_key>\t<format_double(lambda)>
+//
+// v2 marks values from the Sturm-bisection Ritz extremes; v1 files (dense
+// Jacobi Ritz values, different in the last digits) fail the header check,
+// load nothing, and are rewritten as v2 once their keys are recomputed.
 //
 // Keys are '|'-joined registry names and round-trip-formatted numbers —
 // never tabs or newlines — so the last tab on a line splits key from
 // value unambiguously. Comment lines start with '#'.
-constexpr const char* kSidecarHeader = "# dlb lambda sidecar v1";
+constexpr const char* kSidecarHeader = "# dlb lambda sidecar v2";
 
 /// A value is plausible exactly when it is a finite second eigenvalue of a
 /// diffusion matrix (|lambda| <= 1). Anything else on disk is corruption —

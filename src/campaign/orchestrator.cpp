@@ -639,6 +639,8 @@ campaign_result run_queue_campaign(const campaign_spec& spec,
         options.pool_scratch ? &scratch : nullptr;
 
     const bool with_checkpoints = options.checkpoint_every > 0;
+    constexpr double kFirstIdleBackoff = 0.01; // seconds
+    double idle_backoff = kFirstIdleBackoff;
 
     while (true) {
         const queue_pick pick =
@@ -650,13 +652,16 @@ campaign_result run_queue_campaign(const campaign_spec& spec,
                                   result.queue.re_leased);
         if (pick.decision == queue_pick::kind::all_done) break;
         if (pick.decision == queue_pick::kind::wait) {
-            // Live peers hold everything that is left; idle one heartbeat
-            // and look again (a peer finishing or dying changes the answer).
-            std::this_thread::sleep_for(
-                std::chrono::duration<double>(
-                    options.lease_heartbeat_seconds));
+            // Live peers hold everything that is left; idle and look again
+            // (a peer finishing or dying changes the answer). The idle
+            // period starts short and doubles up to one heartbeat, so a
+            // peer's last row is seen within about the time already waited.
+            std::this_thread::sleep_for(std::chrono::duration<double>(
+                std::min(options.lease_heartbeat_seconds, idle_backoff)));
+            idle_backoff *= 2.0;
             continue;
         }
+        idle_backoff = kFirstIdleBackoff;
 
         const std::int64_t index = pick.index;
         const scenario_spec& scenario =

@@ -64,7 +64,8 @@ struct orchestrator_hooks {
 /// Runs one lease-queue worker on `spec` against options.queue_dir (see
 /// file comment for the protocol) and blocks until every scenario in the
 /// campaign has a row file — completing leases itself while work is
-/// pending, idling between heartbeats while live peers hold the rest.
+/// pending, polling while live peers hold the rest (10 ms, doubling on
+/// each consecutive wait up to one heartbeat, reset by a lease).
 /// Returns the full merged campaign_result (all scenarios, global order),
 /// byte-identical across workers and to an unsharded run;
 /// campaign_result::queue reports this worker's lease activity. Throws

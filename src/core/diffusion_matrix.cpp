@@ -1,9 +1,11 @@
 #include "core/diffusion_matrix.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
 #include "linalg/lanczos.hpp"
+#include "obs/obs.hpp"
 
 namespace dlb {
 
@@ -108,12 +110,20 @@ double compute_lambda(const graph& g, const std::vector<double>& alpha,
                       const speed_profile& speeds, int max_iterations,
                       double tolerance)
 {
+    static obs::histogram& lambda_ns = obs::registry_histogram("campaign.lambda_ns");
+    static obs::counter& unconverged = obs::registry_counter("lambda.unconverged");
+    const std::int64_t start = obs::metrics_enabled() ? now_ns() : -1;
+
     const sparse_op sym = make_symmetrized_diffusion_operator(g, alpha, speeds);
     const std::vector<std::vector<double>> deflate{
         top_eigenvector_symmetrized(speeds)};
-    return lanczos_lambda2(
+    const lanczos_result solve = lanczos_extreme_eigenvalues(
         [&sym](std::span<const double> x, std::span<double> y) { sym.apply(x, y); },
         static_cast<std::size_t>(g.num_nodes()), deflate, max_iterations, tolerance);
+
+    if (!solve.converged) unconverged.add(1);
+    if (start >= 0) lambda_ns.record(now_ns() - start);
+    return std::max(std::abs(solve.largest), std::abs(solve.smallest));
 }
 
 } // namespace dlb

@@ -44,7 +44,9 @@ dense_matrix make_dense_diffusion_matrix(const graph& g,
 std::vector<double> top_eigenvector_symmetrized(const speed_profile& speeds);
 
 /// lambda = second-largest eigenvalue of M in magnitude, via Lanczos with
-/// the top eigenvector deflated. Deterministic.
+/// the top eigenvector deflated. Deterministic. Under an obs session each
+/// call records its duration in the `campaign.lambda_ns` histogram and an
+/// unconverged solve bumps the `lambda.unconverged` counter.
 double compute_lambda(const graph& g, const std::vector<double>& alpha,
                       const speed_profile& speeds, int max_iterations = 300,
                       double tolerance = 1e-11);

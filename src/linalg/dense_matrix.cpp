@@ -103,23 +103,4 @@ double dense_matrix::frobenius_norm() const
     return std::sqrt(acc);
 }
 
-double dot(std::span<const double> a, std::span<const double> b)
-{
-    double acc = 0.0;
-    for (std::size_t i = 0; i < a.size(); ++i) acc += a[i] * b[i];
-    return acc;
-}
-
-double norm2(std::span<const double> a) { return std::sqrt(dot(a, a)); }
-
-void axpy(double a, std::span<const double> x, std::span<double> y)
-{
-    for (std::size_t i = 0; i < x.size(); ++i) y[i] += a * x[i];
-}
-
-void scale(std::span<double> x, double a)
-{
-    for (double& v : x) v *= a;
-}
-
 } // namespace dlb

@@ -8,6 +8,8 @@
 #include <span>
 #include <vector>
 
+#include "linalg/vector_ops.hpp" // dot / norm2 / axpy / scale
+
 namespace dlb {
 
 class dense_matrix {
@@ -72,13 +74,6 @@ private:
     std::size_t cols_ = 0;
     std::vector<double> data_;
 };
-
-/// Euclidean helpers on raw vectors.
-double dot(std::span<const double> a, std::span<const double> b);
-double norm2(std::span<const double> a);
-/// y += a * x
-void axpy(double a, std::span<const double> x, std::span<double> y);
-void scale(std::span<double> x, double a);
 
 } // namespace dlb
 

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
-#include "linalg/dense_matrix.hpp"
-#include "linalg/jacobi.hpp"
+#include "linalg/vector_ops.hpp"
 #include "util/rng.hpp"
 
 namespace dlb {
@@ -21,25 +21,124 @@ void project_out(std::span<double> v, std::span<const std::vector<double>> basis
     }
 }
 
-/// Eigenvalue extremes of the symmetric tridiagonal matrix given by
-/// diagonals `alpha` and off-diagonals `beta` (beta[i] couples i and i+1).
-std::pair<double, double> tridiagonal_extremes(std::span<const double> alpha,
-                                               std::span<const double> beta)
+/// Gershgorin interval of T: every eigenvalue lies in [lo, hi], and
+/// norm = max(|lo|, |hi|) bounds ||T||.
+struct gershgorin_interval {
+    double lo = 0.0;
+    double hi = 0.0;
+    double norm = 0.0;
+};
+
+gershgorin_interval gershgorin(std::span<const double> alpha,
+                               std::span<const double> beta)
+{
+    gershgorin_interval out{std::numeric_limits<double>::infinity(),
+                            -std::numeric_limits<double>::infinity(), 0.0};
+    const std::size_t k = alpha.size();
+    for (std::size_t i = 0; i < k; ++i) {
+        const double radius = (i > 0 ? std::abs(beta[i - 1]) : 0.0) +
+                              (i + 1 < k ? std::abs(beta[i]) : 0.0);
+        out.lo = std::min(out.lo, alpha[i] - radius);
+        out.hi = std::max(out.hi, alpha[i] + radius);
+    }
+    out.norm = std::max(std::abs(out.lo), std::abs(out.hi));
+    return out;
+}
+
+/// Number of eigenvalues of T strictly below x: by Sylvester's law of
+/// inertia, the count of negative pivots of the LDL^T factorization of
+/// T - xI. A pivot within `pivmin` of zero is replaced by -pivmin (the
+/// LAPACK dstebz convention): the count stays exact for a slightly
+/// perturbed T and the next division cannot overflow.
+std::size_t count_below(std::span<const double> alpha,
+                        std::span<const double> beta, double x, double pivmin)
+{
+    std::size_t count = 0;
+    double pivot = 1.0;
+    for (std::size_t i = 0; i < alpha.size(); ++i) {
+        pivot = (alpha[i] - x) -
+                (i > 0 ? beta[i - 1] * beta[i - 1] / pivot : 0.0);
+        if (std::abs(pivot) <= pivmin) pivot = -pivmin;
+        if (pivot < 0.0) ++count;
+    }
+    return count;
+}
+
+/// |s_k|, the magnitude of the last entry of T's unit eigenvector for the
+/// extreme eigenvalue theta: two steps of inverse iteration, each one O(k)
+/// LDL^T solve of T - theta I. At an extreme eigenvalue T - theta I is
+/// semidefinite, so the unpivoted factorization is stable; the pivot of the
+/// (near-)singular direction is floored at eps * ||T||.
+double last_eigenvector_entry(std::span<const double> alpha,
+                              std::span<const double> beta, double theta)
 {
     const std::size_t k = alpha.size();
-    dense_matrix t(k, k);
-    for (std::size_t i = 0; i < k; ++i) {
-        t(i, i) = alpha[i];
-        if (i + 1 < k) {
-            t(i, i + 1) = beta[i];
-            t(i + 1, i) = beta[i];
-        }
+    if (k == 1) return 1.0;
+    const double floor =
+        std::max(std::numeric_limits<double>::epsilon() *
+                     gershgorin(alpha, beta).norm,
+                 std::numeric_limits<double>::min());
+    const auto floored = [floor](double pivot) {
+        return std::abs(pivot) >= floor ? pivot
+                                        : (pivot < 0.0 ? -floor : floor);
+    };
+
+    std::vector<double> pivots(k);
+    std::vector<double> multipliers(k - 1);
+    pivots[0] = floored(alpha[0] - theta);
+    for (std::size_t i = 1; i < k; ++i) {
+        multipliers[i - 1] = beta[i - 1] / pivots[i - 1];
+        pivots[i] = floored(alpha[i] - theta - multipliers[i - 1] * beta[i - 1]);
     }
-    const auto eigen = jacobi_eigen(t);
-    return {eigen.values.front(), eigen.values.back()};
+
+    std::vector<double> x(k, 1.0);
+    for (int step = 0; step < 2; ++step) {
+        for (std::size_t i = 1; i < k; ++i) x[i] -= multipliers[i - 1] * x[i - 1];
+        for (std::size_t i = 0; i < k; ++i) x[i] /= pivots[i];
+        for (std::size_t i = k - 1; i-- > 0;) x[i] -= multipliers[i] * x[i + 1];
+        scale(x, 1.0 / norm2(x));
+    }
+    return std::abs(x[k - 1]);
 }
 
 } // namespace
+
+double tridiagonal_eigenvalue(std::span<const double> alpha,
+                              std::span<const double> beta, std::size_t j)
+{
+    const std::size_t k = alpha.size();
+    if (k == 0 || beta.size() + 1 != k)
+        throw std::invalid_argument(
+            "tridiagonal_eigenvalue: need k >= 1 diagonal and k - 1 "
+            "off-diagonal entries");
+    if (j >= k)
+        throw std::invalid_argument("tridiagonal_eigenvalue: index out of range");
+
+    double max_beta_sq = 1.0;
+    for (const double b : beta) max_beta_sq = std::max(max_beta_sq, b * b);
+    const double pivmin = std::numeric_limits<double>::min() * max_beta_sq;
+    const double eps = std::numeric_limits<double>::epsilon();
+
+    // Widen the Gershgorin interval by the count's rounding error so that
+    // count_below(lo) <= j < count_below(hi) holds in floating point too.
+    const gershgorin_interval bounds = gershgorin(alpha, beta);
+    const double slack = 2.0 * eps * bounds.norm * static_cast<double>(k) +
+                         2.0 * pivmin;
+    double lo = bounds.lo - slack;
+    double hi = bounds.hi + slack;
+    const double zero_width = eps * eps * bounds.norm + pivmin;
+
+    // Invariant: lambda_j lies in [lo, hi).
+    while (true) {
+        const double mid = lo + 0.5 * (hi - lo);
+        if (mid <= lo || mid >= hi || hi - lo <= zero_width) break;
+        if (count_below(alpha, beta, mid, pivmin) > j)
+            hi = mid;
+        else
+            lo = mid;
+    }
+    return lo + 0.5 * (hi - lo);
+}
 
 lanczos_result lanczos_extreme_eigenvalues(
     const std::function<void(std::span<const double>, std::span<double>)>& apply,
@@ -75,6 +174,7 @@ lanczos_result lanczos_extreme_eigenvalues(
     lanczos_result result;
     double prev_largest = 0.0;
     double prev_smallest = 0.0;
+    double last_b = 0.0;
 
     for (int k = 0; k < kmax; ++k) {
         basis.push_back(v);
@@ -97,14 +197,17 @@ lanczos_result lanczos_extreme_eigenvalues(
 
         const double b_k = norm2(w);
         result.iterations = k + 1;
+        last_b = b_k;
 
-        // The tridiagonal eigensolve costs O(k^3); evaluating it every
-        // iteration dominates the run for large Krylov dimensions, so check
-        // extremes only periodically (and at breakdown / the final step).
+        // Extremes are checked every 8th iteration (and at breakdown / the
+        // final step); the stopping rule compares successive checks, so
+        // this cadence fixes the iteration count.
         const bool check_now =
             b_k < tolerance || k == kmax - 1 || (k >= 8 && k % 8 == 0);
         if (check_now) {
-            const auto [largest, smallest] = tridiagonal_extremes(alpha, beta);
+            const double largest =
+                tridiagonal_eigenvalue(alpha, beta, alpha.size() - 1);
+            const double smallest = tridiagonal_eigenvalue(alpha, beta, 0);
             result.largest = largest;
             result.smallest = smallest;
 
@@ -120,17 +223,21 @@ lanczos_result lanczos_extreme_eigenvalues(
             }
             prev_largest = largest;
             prev_smallest = smallest;
-        } else if (b_k < tolerance) {
-            const auto [largest, smallest] = tridiagonal_extremes(alpha, beta);
-            result.largest = largest;
-            result.smallest = smallest;
-            result.converged = true;
-            break;
         }
 
         beta.push_back(b_k);
         for (std::size_t i = 0; i < n; ++i) v[i] = w[i] / b_k;
     }
+
+    if (alpha.empty()) return result; // max_iterations <= 0
+    // The last check saw T_k = (alpha, first k - 1 betas); a run that hit
+    // kmax has already appended b_k past it.
+    const std::span<const double> t_beta =
+        std::span<const double>(beta).first(alpha.size() - 1);
+    const double extreme = std::abs(result.largest) >= std::abs(result.smallest)
+                               ? result.largest
+                               : result.smallest;
+    result.residual = last_b * last_eigenvector_entry(alpha, t_beta, extreme);
     return result;
 }
 

@@ -1,7 +1,9 @@
 #include "sim/runner.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -9,6 +11,7 @@
 #include "core/checkpoint.hpp"
 #include "obs/obs.hpp"
 #include "sim/initial_load.hpp"
+#include "util/csv.hpp" // format_double
 
 namespace dlb {
 
@@ -81,6 +84,32 @@ void validate_resume(const experiment_config& config,
             "resume: checkpoint round " + std::to_string(checkpoint.round) +
             " is beyond this run's " + std::to_string(config.rounds) +
             " rounds");
+
+    // The engines restore (kind, beta, lambda) from the snapshot, so a
+    // snapshot taken under another lambda (an older solver, a stale
+    // sidecar) would silently continue with the old beta. Pin it bitwise
+    // to the scheme this run resolved, or to switch_to past a hybrid switch.
+    const checkpoint_scheme_state& saved =
+        checkpoint.engine == checkpoint_engine::discrete ? checkpoint.discrete.scheme
+        : checkpoint.engine == checkpoint_engine::continuous
+            ? checkpoint.continuous.scheme
+            : checkpoint.cumulative.twin.scheme;
+    const scheme_params& scheme = checkpoint.runner.hybrid_switched
+                                      ? config.switch_to
+                                      : config.diffusion.scheme;
+    if (saved.kind != static_cast<std::int32_t>(scheme.kind) ||
+        std::bit_cast<std::uint64_t>(saved.beta) !=
+            std::bit_cast<std::uint64_t>(scheme.beta) ||
+        std::bit_cast<std::uint64_t>(saved.lambda) !=
+            std::bit_cast<std::uint64_t>(scheme.lambda))
+        throw std::invalid_argument(
+            "resume: scheme mismatch: checkpoint has (kind " +
+            std::to_string(saved.kind) + ", beta " + format_double(saved.beta) +
+            ", lambda " + format_double(saved.lambda) +
+            ") but this run resolved (kind " +
+            std::to_string(static_cast<std::int32_t>(scheme.kind)) +
+            ", beta " + format_double(scheme.beta) + ", lambda " +
+            format_double(scheme.lambda) + ")");
 }
 
 void save_engine_state(const discrete_process& engine, engine_checkpoint& out)

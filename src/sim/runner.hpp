@@ -92,8 +92,9 @@ struct experiment_config {
     std::function<void(std::int64_t)> after_checkpoint;
 
     /// Resume from a parsed snapshot instead of round 0. The checkpoint's
-    /// seed, rng_version, rounding, policy, record_every, engine kind and
-    /// spec hash must all match this config — any mismatch throws
+    /// seed, rng_version, rounding, policy, record_every, engine kind,
+    /// spec hash and scheme (kind, beta, lambda bitwise; switch_to once the
+    /// hybrid switch fired) must all match this config — any mismatch throws
     /// std::invalid_argument naming the field. The resumed run's series is
     /// byte-identical to the uninterrupted run's. Must outlive the run;
     /// incompatible with run_continuous_twin.

@@ -15,7 +15,7 @@
 //
 //  3. Strict rejection: a snapshot that does not match the run it is fed
 //     to (spec hash, seed, rng_version, rounding, policy, record_every,
-//     engine kind, round range, load shape) is refused with an error
+//     engine kind, round range, load shape, scheme) is refused with an error
 //     naming the field — and a corrupted snapshot file (eight shapes,
 //     mirroring the lambda-sidecar battery) never parses.
 //
@@ -419,6 +419,19 @@ TEST(CheckpointResumeValidation, MismatchesThrowNamingTheField)
         expect_contains(message_for(bad), "twin");
     }
     {
+        // The scheme is pinned bitwise: one ulp of beta is a different run.
+        engine_checkpoint forged = snapshot;
+        forged.discrete.scheme.beta = std::nextafter(1.7, 2.0);
+        experiment_config bad = base;
+        bad.resume = &forged;
+        expect_contains(message_for(bad), "scheme mismatch");
+    }
+    {
+        experiment_config bad = base;
+        bad.diffusion.scheme = chebyshev_scheme(0.5);
+        expect_contains(message_for(bad), "scheme mismatch");
+    }
+    {
         // A shape mismatch survives parsing (the snapshot is internally
         // consistent) but must be refused by the engine restore.
         engine_checkpoint forged = snapshot;
@@ -473,6 +486,31 @@ TEST_F(CheckpointTest, CampaignResumeRejectsRngVersionMismatch)
     resume.resume_path = forged_path;
     expect_contains(thrown_message([&] { run_campaign(spec, resume); }),
                     "rng_version");
+}
+
+// A snapshot taken under another lambda (hence another beta) must not
+// resume with the stale beta: under --resume the scenario is an error row
+// naming the scheme.
+TEST_F(CheckpointTest, CampaignResumeRejectsSnapshotUnderAnotherScheme)
+{
+    campaign_spec spec = checkpoint_spec();
+    spec.base.switch_mode = "never"; // the snapshot holds the derived SOS beta
+    campaign_options with_snapshots;
+    with_snapshots.checkpoint_every = 40;
+    with_snapshots.checkpoint_dir = dir_;
+    const auto full = run_campaign(spec, with_snapshots);
+
+    engine_checkpoint forged = read_checkpoint_file(snapshot_path(spec));
+    ASSERT_EQ(forged.discrete.scheme.beta, full.scenarios.at(0).beta);
+    forged.discrete.scheme.beta = std::nextafter(forged.discrete.scheme.beta, 0.0);
+    const std::string forged_path = dir_ + "/forged_scheme.ckpt";
+    write_checkpoint_file(forged_path, forged);
+
+    campaign_options resume;
+    resume.resume_path = forged_path;
+    const auto resumed = run_campaign(spec, resume);
+    ASSERT_EQ(resumed.scenarios.size(), 1u);
+    expect_contains(resumed.scenarios[0].error, "scheme mismatch");
 }
 
 TEST_F(CheckpointTest, CampaignResumeRejectsRecordEveryMismatch)

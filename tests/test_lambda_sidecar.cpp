@@ -122,12 +122,12 @@ TEST_F(LambdaSidecarTest, CorruptSidecarDegradesToRecompute)
 
     const std::vector<std::string> corruptions = {
         "not a sidecar at all\n",
-        "# dlb lambda sidecar v1\ngarbage without a tab\n",
-        "# dlb lambda sidecar v1\nkey\tnot-a-number\n",
-        "# dlb lambda sidecar v1\nkey\t1e308\n",   // not an eigenvalue
-        "# dlb lambda sidecar v1\nkey\tnan\n",     // never a valid lambda
-        "# dlb lambda sidecar v1\nkey\t0.5trail\n", // trailing garbage
-        "# dlb lambda sidecar v1\ntorus|36|0|-|max_degree_plus_one|unifor",
+        "# dlb lambda sidecar v2\ngarbage without a tab\n",
+        "# dlb lambda sidecar v2\nkey\tnot-a-number\n",
+        "# dlb lambda sidecar v2\nkey\t1e308\n",   // not an eigenvalue
+        "# dlb lambda sidecar v2\nkey\tnan\n",     // never a valid lambda
+        "# dlb lambda sidecar v2\nkey\t0.5trail\n", // trailing garbage
+        "# dlb lambda sidecar v2\ntorus|36|0|-|max_degree_plus_one|unifor",
         std::string("\0\x7f\x01 binary junk", 14),
     };
     for (const auto& corruption : corruptions) {
@@ -184,7 +184,7 @@ TEST_F(LambdaSidecarTest, LoadedEntriesNeverOverrideComputedOnes)
     cache.lambda("key", [] { return 0.5; });
     {
         std::ofstream out(path_, std::ios::trunc);
-        out << "# dlb lambda sidecar v1\nkey\t0.9\n";
+        out << "# dlb lambda sidecar v2\nkey\t0.9\n";
     }
     EXPECT_EQ(cache.load_lambda_sidecar(path_), 0u); // already present
     EXPECT_DOUBLE_EQ(cache.lambda("key", [] { return -1.0; }), 0.5);
@@ -199,7 +199,7 @@ TEST_F(LambdaSidecarTest, SidecarFileRoundTripsExactly)
     cache.save_lambda_sidecar(path_);
 
     const std::string contents = read_file(path_);
-    EXPECT_EQ(contents.rfind("# dlb lambda sidecar v1\n", 0), 0u)
+    EXPECT_EQ(contents.rfind("# dlb lambda sidecar v2\n", 0), 0u)
         << "sidecar must start with its format header";
 
     graph_cache reloaded;
@@ -273,7 +273,7 @@ TEST_F(LambdaSidecarTest, CrashOrphanedTempIsSweptAndNeverShadowsTheSidecar)
 
     {
         std::ofstream out(path_, std::ios::trunc);
-        out << "# dlb lambda sidecar v1\nkey\t0.25\n";
+        out << "# dlb lambda sidecar v2\nkey\t0.25\n";
     }
     const std::string orphan =
         path_ + ".tmp." + std::to_string(static_cast<long>(dead)) + ".0";
@@ -297,6 +297,37 @@ TEST_F(LambdaSidecarTest, CrashOrphanedTempIsSweptAndNeverShadowsTheSidecar)
     graph_cache reloaded;
     EXPECT_EQ(reloaded.load_lambda_sidecar(path_), 2u);
     std::remove(in_flight.c_str());
+}
+
+// A v1 sidecar holds values from an older solver that differ in the last
+// digits; it must load nothing (even for keys this campaign uses) and be
+// rewritten as v2 with freshly computed values.
+TEST_F(LambdaSidecarTest, VersionOneSidecarIsIgnoredAndRewrittenAsVersionTwo)
+{
+    const campaign_spec spec = lambda_spec();
+    campaign_options options;
+    options.lambda_cache_path = path_;
+    const auto reference = run_campaign(spec, options);
+    const std::string v2 = read_file(path_);
+    ASSERT_EQ(v2.rfind("# dlb lambda sidecar v2\n", 0), 0u);
+
+    // Same keys, stale values, old header.
+    std::istringstream lines(v2);
+    std::string line;
+    std::string v1 = "# dlb lambda sidecar v1\n";
+    std::getline(lines, line); // v2 header
+    while (std::getline(lines, line))
+        v1 += line.substr(0, line.rfind('\t')) + "\t0.5\n";
+    {
+        std::ofstream out(path_, std::ios::trunc);
+        out << v1;
+    }
+
+    const auto rerun = run_campaign(spec, options);
+    EXPECT_EQ(rerun.lambda_sidecar_loaded, 0);
+    EXPECT_GT(rerun.cache.lambda_misses, 0);
+    EXPECT_EQ(csv_of(reference), csv_of(rerun));
+    EXPECT_EQ(read_file(path_), v2) << "the v1 file must be rewritten as v2";
 }
 
 TEST_F(LambdaSidecarTest, MissingFileLoadsNothing)

@@ -10,7 +10,10 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <chrono>
+#include <cmath>
 #include <filesystem>
+#include <future>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -21,6 +24,7 @@
 #include "campaign/orchestrator.hpp"
 #include "campaign/report.hpp"
 #include "campaign/spec.hpp"
+#include "core/checkpoint.hpp"
 
 namespace dlb {
 namespace {
@@ -221,6 +225,91 @@ TEST_F(OrchestratorTest, RejoiningACompletedQueueReturnsTheMergedReport)
     EXPECT_EQ(again.queue.completed, 0);
     EXPECT_EQ(again.queue.leased, 0);
     EXPECT_EQ(csv_of(again), csv_of(first));
+}
+
+// A snapshot taken under another scheme (say, beta from an older lambda
+// solver) passes the queue's file-level gate but not the runner's scheme
+// pin; the worker recomputes instead of resuming with the stale beta, and
+// the merged report still matches the unsharded run byte for byte.
+TEST_F(OrchestratorTest, SnapshotUnderAStaleSchemeIsRecomputedNotResumed)
+{
+    campaign_spec spec;
+    spec.name = "stale-scheme";
+    spec.base.nodes = 36;
+    spec.base.rounds = 60;
+    spec.base.tokens_per_node = 50;
+    spec.base.load_pattern = "random";
+    spec.base.scheme = "sos"; // beta derived from lambda
+    campaign_options direct;
+    direct.checkpoint_every = 16;
+    direct.checkpoint_dir = ckpt_;
+    const campaign_result baseline = run_campaign(spec, direct);
+    ASSERT_TRUE(baseline.scenarios.at(0).error.empty());
+
+    std::size_t forged = 0;
+    for (const auto& entry : std::filesystem::directory_iterator(ckpt_)) {
+        engine_checkpoint snapshot =
+            read_checkpoint_file(entry.path().string());
+        ASSERT_EQ(snapshot.discrete.scheme.beta, baseline.scenarios[0].beta);
+        snapshot.discrete.scheme.beta = 1.25;
+        write_checkpoint_file(entry.path().string(), snapshot);
+        ++forged;
+    }
+    ASSERT_EQ(forged, 1u);
+
+    campaign_options options = queue_options();
+    options.checkpoint_every = 16;
+    options.checkpoint_dir = ckpt_;
+    const campaign_result queued = run_queue_campaign(spec, options);
+    EXPECT_EQ(queued.queue.resumed, 1); // admitted by the file-level gate
+    EXPECT_EQ(csv_of(queued), csv_of(baseline));
+    EXPECT_EQ(json_of(queued), json_of(baseline));
+}
+
+// At the library-default one-second heartbeat, a worker idling on a peer's
+// last lease sees the row land within about the time it has already waited
+// (its poll backoff starts at 10 ms), not a whole heartbeat period later.
+TEST_F(OrchestratorTest, IdleWorkerSeesAPeersLastRowWellUnderOneHeartbeat)
+{
+    campaign_spec spec;
+    spec.name = "idle-backoff";
+    spec.base.nodes = 36;
+    spec.base.rounds = 40;
+    spec.base.tokens_per_node = 50;
+    campaign_options options = queue_options();
+    options.lease_heartbeat_seconds = 1.0;
+    options.checkpoint_every = 10;
+    options.checkpoint_dir = ckpt_;
+
+    using clock = std::chrono::steady_clock;
+    std::promise<void> leased;
+    orchestrator_hooks hooks;
+    hooks.after_checkpoint = [&leased](std::int64_t, std::int64_t round) {
+        if (round != 10) return;
+        leased.set_value();
+        // The idle worker starts and polls while the holder is busy.
+        std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    };
+
+    clock::time_point holder_done;
+    clock::time_point idle_done;
+    campaign_result idle_result;
+    std::thread holder([&] {
+        run_queue_campaign(spec, options, hooks);
+        holder_done = clock::now();
+    });
+    leased.get_future().wait();
+    std::thread idle([&] {
+        idle_result = run_queue_campaign(spec, options);
+        idle_done = clock::now();
+    });
+    holder.join();
+    idle.join();
+
+    EXPECT_EQ(idle_result.queue.leased, 0); // it only ever waited
+    const std::chrono::duration<double> lag = idle_done - holder_done;
+    EXPECT_LT(lag.count(), 0.6) << "idle worker returned " << lag.count()
+                                << " s after the holder";
 }
 
 TEST_F(OrchestratorTest, OptionConflictsThrowNamingTheFlags)
