@@ -253,19 +253,43 @@ BENCHMARK_CAPTURE(bm_rounding, bernoulli, rounding_kind::bernoulli_edge);
 BENCHMARK_CAPTURE(bm_rounding, bernoulli_v2, rounding_kind::bernoulli_edge,
                   rng_version::v2);
 
+/// Load on every node of the torus (uniform in [0, 2000]), so each edge
+/// schedules a fractional flow from the first round on. A spreading point
+/// load instead leaves most edges idle early and makes the per-step cost
+/// drift with the iteration count.
+std::vector<std::int64_t> spread_load(const graph& g)
+{
+    return uniform_range_load(g.num_nodes(), 0, 2000, 3);
+}
+
 void bm_step_threads(benchmark::State& state)
 {
     const graph& g = torus_for(512);
     thread_pool pool(static_cast<unsigned>(state.range(0)));
     const double beta = beta_opt(torus_2d_lambda(512, 512));
-    discrete_process proc(make_config(g, sos_scheme(beta)),
-                          point_load(g.num_nodes(), 0, g.num_nodes() * 1000LL),
+    discrete_process proc(make_config(g, sos_scheme(beta)), spread_load(g),
                           rounding_kind::randomized, 1,
                           negative_load_policy::allow, &pool);
     for (auto _ : state) proc.step();
     state.SetItemsProcessed(state.iterations() * g.num_edges());
 }
 BENCHMARK(bm_step_threads)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
+
+/// The runner's per-round metric sweeps (phi_global over the nodes and
+/// phi_local over the half-edges) on the engine's pool.
+void bm_round_metrics(benchmark::State& state)
+{
+    const graph& g = torus_for(512);
+    thread_pool pool(static_cast<unsigned>(state.range(0)));
+    const auto load = spread_load(g);
+    const std::span<const std::int64_t> view(load);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(max_minus_average(view, &pool));
+        benchmark::DoNotOptimize(max_local_difference(g, view, &pool));
+    }
+    state.SetItemsProcessed(state.iterations() * g.num_edges());
+}
+BENCHMARK(bm_round_metrics)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
 
 void bm_cumulative_step(benchmark::State& state)
 {

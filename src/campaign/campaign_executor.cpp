@@ -683,8 +683,15 @@ measure_windows_result measure_windows(const campaign_spec& spec,
         const std::int64_t end = snapshot.round + options.window_rounds;
         for (std::int64_t t = snapshot.round; t < end; ++t) {
             const auto load = engine.load();
-            const double global = max_minus_average(load);
-            const double local = max_local_difference(g, load);
+            // Only the metric the armed trigger reads is computed; the
+            // engine is serial, so the metrics run serially too.
+            const switch_metric metric = hybrid.reads();
+            const double local = metric == switch_metric::local_difference
+                                     ? max_local_difference(g, load)
+                                     : 0.0;
+            const double global = metric == switch_metric::global_difference
+                                      ? max_minus_average(load)
+                                      : 0.0;
             if (hybrid.should_switch(t, local, global))
                 engine.set_scheme(fos_scheme());
             if (workload != nullptr) {

@@ -45,6 +45,13 @@ struct switch_policy {
     }
 };
 
+/// The metric a hybrid_controller's next should_switch call reads.
+enum class switch_metric {
+    none,              // never / at_round triggers, or already switched
+    local_difference,  // local_threshold: max_local_difference
+    global_difference, // global_threshold: max_minus_average
+};
+
 /// Stateful one-way switch decision. Query should_switch once per round
 /// *before* stepping; once it fires the controller stays switched.
 class hybrid_controller {
@@ -57,6 +64,24 @@ public:
     /// initial load rather than any scheme progress.
     bool should_switch(std::int64_t round, double local_difference,
                        double global_difference);
+
+    /// The metric the next should_switch call reads; callers compute a
+    /// metric for the controller only when this names it, and may pass any
+    /// value for the others.
+    switch_metric reads() const noexcept
+    {
+        if (switched_) return switch_metric::none;
+        switch (policy_.mode) {
+        case switch_policy::trigger::never:
+        case switch_policy::trigger::at_round:
+            return switch_metric::none;
+        case switch_policy::trigger::local_threshold:
+            return switch_metric::local_difference;
+        case switch_policy::trigger::global_threshold:
+            return switch_metric::global_difference;
+        }
+        return switch_metric::none;
+    }
 
     bool switched() const noexcept { return switched_; }
     std::int64_t switch_round() const noexcept { return switch_round_; }

@@ -15,24 +15,73 @@
 #include <deque>
 #include <limits>
 #include <span>
+#include <type_traits>
 #include <vector>
 
+#include "core/executor.hpp"
 #include "graph/graph.hpp"
 
 namespace dlb {
 
 /// max_v x_v - (sum_v x_v)/n   — the paper's "maximum load" metric.
+///
+/// Runs on `exec` (serial when null) and returns the serial left-to-right
+/// double sweep's value bit for bit, for any executor and worker count:
+///  * signed integer loads reduce (int64 max, wrapping sum, Sigma|x|
+///    saturated just above 2^53) per parallel_reduce chunk. With
+///    Sigma|x| <= 2^53 every prefix of the serial double sum is an exactly
+///    representable integer, so double(max) - double(sum)/n *is* the serial
+///    value; above that bound the serial sweep runs instead.
+///  * floating-point loads keep the serial sweep: their summation order is
+///    part of the result.
 template <class Load>
-double max_minus_average(std::span<const Load> load)
+double max_minus_average(std::span<const Load> load, executor* exec = nullptr)
 {
     if (load.empty()) return 0.0;
+    const auto n = static_cast<double>(load.size());
+    if constexpr (std::is_integral_v<Load> && std::is_signed_v<Load>) {
+        constexpr std::uint64_t exact_limit = std::uint64_t{1} << 53;
+        constexpr std::uint64_t saturated = exact_limit + 1;
+        struct partial {
+            std::int64_t max;
+            std::uint64_t sum; // two's-complement wrapping: exact when it matters
+            std::uint64_t abs_sum; // min(Sigma|x|, saturated)
+        };
+        executor& ex = exec != nullptr ? *exec : default_executor();
+        const partial total = ex.parallel_reduce(
+            static_cast<std::int64_t>(load.size()),
+            partial{std::numeric_limits<std::int64_t>::min(), 0, 0},
+            [&](std::int64_t begin, std::int64_t end) {
+                partial p{std::numeric_limits<std::int64_t>::min(), 0, 0};
+                for (std::int64_t i = begin; i < end; ++i) {
+                    const auto x = static_cast<std::int64_t>(
+                        load[static_cast<std::size_t>(i)]);
+                    const auto bits = static_cast<std::uint64_t>(x);
+                    const std::uint64_t magnitude = x < 0 ? 0 - bits : bits;
+                    p.max = std::max(p.max, x);
+                    p.sum += bits;
+                    p.abs_sum = std::min(
+                        p.abs_sum + std::min(magnitude, saturated), saturated);
+                }
+                return p;
+            },
+            [&](partial acc, const partial& p) {
+                acc.max = std::max(acc.max, p.max);
+                acc.sum += p.sum;
+                acc.abs_sum = std::min(acc.abs_sum + p.abs_sum, saturated);
+                return acc;
+            });
+        if (total.abs_sum <= exact_limit)
+            return static_cast<double>(total.max) -
+                   static_cast<double>(static_cast<std::int64_t>(total.sum)) / n;
+    }
     double sum = 0.0;
     double max_value = static_cast<double>(load.front());
     for (const Load value : load) {
         sum += static_cast<double>(value);
         max_value = std::max(max_value, static_cast<double>(value));
     }
-    return max_value - sum / static_cast<double>(load.size());
+    return max_value - sum / n;
 }
 
 /// max_v (x_v - ideal_v) for heterogeneous networks.
@@ -45,18 +94,29 @@ double max_minus_ideal(std::span<const Load> load, std::span<const double> ideal
     return best;
 }
 
-/// max_{(u,v) in E} |x_u - x_v|.
+/// max_{(u,v) in E} |x_u - x_v|, on `exec` (serial when null). Every
+/// |diff| is computed identically whichever thread sweeps its node, and a
+/// max of such values is order-free, so the result is bit-identical for
+/// any load type, executor and worker count.
 template <class Load>
-double max_local_difference(const graph& g, std::span<const Load> load)
+double max_local_difference(const graph& g, std::span<const Load> load,
+                            executor* exec = nullptr)
 {
-    double best = 0.0;
-    for (node_id v = 0; v < g.num_nodes(); ++v)
-        for (half_edge_id h = g.half_edge_begin(v); h < g.half_edge_end(v); ++h) {
-            const double diff =
-                static_cast<double>(load[v]) - static_cast<double>(load[g.head(h)]);
-            best = std::max(best, diff < 0 ? -diff : diff);
-        }
-    return best;
+    executor& ex = exec != nullptr ? *exec : default_executor();
+    return ex.parallel_reduce(
+        static_cast<std::int64_t>(g.num_nodes()), 0.0,
+        [&](std::int64_t begin, std::int64_t end) {
+            double best = 0.0;
+            for (auto v = static_cast<node_id>(begin); v < end; ++v)
+                for (half_edge_id h = g.half_edge_begin(v);
+                     h < g.half_edge_end(v); ++h) {
+                    const double diff = static_cast<double>(load[v]) -
+                                        static_cast<double>(load[g.head(h)]);
+                    best = std::max(best, diff < 0 ? -diff : diff);
+                }
+            return best;
+        },
+        [](double acc, double partial) { return std::max(acc, partial); });
 }
 
 /// Speed-normalized local difference max |x_u/s_u - x_v/s_v| (heterogeneous).

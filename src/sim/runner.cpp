@@ -251,32 +251,42 @@ time_series run_loop(Engine& engine, const experiment_config& config,
         }
 
         const auto load = engine.load();
-        const double global = max_minus_average(load);
-        const double local = max_local_difference(g, load);
-        tracker.observe(global);
+        const bool recorded = t % config.record_every == 0 || t == config.rounds;
+        double global = 0.0;
+        double local = 0.0;
+        {
+            static obs::histogram& record_ns =
+                obs::registry_histogram("engine.record_ns");
+            const obs::phase_scope phase("engine", "record", &record_ns);
+            global = max_minus_average(load, config.exec);
+            // phi_local is read only by recorded rows and an armed local trigger.
+            if (recorded || hybrid.reads() == switch_metric::local_difference)
+                local = max_local_difference(g, load, config.exec);
+            tracker.observe(global);
 
-        if (t % config.record_every == 0 || t == config.rounds) {
-            if (ideal_stale) {
-                ideal_basis = baseline_total;
-                ideal = config.diffusion.speeds.ideal_load(ideal_basis);
-                ideal_stale = false;
+            if (recorded) {
+                if (ideal_stale) {
+                    ideal_basis = baseline_total;
+                    ideal = config.diffusion.speeds.ideal_load(ideal_basis);
+                    ideal_stale = false;
+                }
+                out.rounds.push_back(t);
+                out.max_minus_average.push_back(global);
+                out.max_local_difference.push_back(local);
+                out.potential_over_n.push_back(
+                    potential(load, std::span<const double>(ideal)) /
+                    static_cast<double>(g.num_nodes()));
+                out.min_load.push_back(min_load(load));
+                out.min_transient_load.push_back(
+                    engine.negative_stats().min_transient_load);
+                const double total_now = std::accumulate(
+                    load.begin(), load.end(), 0.0,
+                    [](double acc, auto v) { return acc + static_cast<double>(v); });
+                out.total_load_error.push_back(std::abs(total_now - baseline_total));
+                if (with_twin)
+                    out.deviation_from_twin.push_back(
+                        max_deviation(load, twin->load()));
             }
-            out.rounds.push_back(t);
-            out.max_minus_average.push_back(global);
-            out.max_local_difference.push_back(local);
-            out.potential_over_n.push_back(
-                potential(load, std::span<const double>(ideal)) /
-                static_cast<double>(g.num_nodes()));
-            out.min_load.push_back(min_load(load));
-            out.min_transient_load.push_back(
-                engine.negative_stats().min_transient_load);
-            const double total_now = std::accumulate(
-                load.begin(), load.end(), 0.0,
-                [](double acc, auto v) { return acc + static_cast<double>(v); });
-            out.total_load_error.push_back(std::abs(total_now - baseline_total));
-            if (with_twin)
-                out.deviation_from_twin.push_back(
-                    max_deviation(load, twin->load()));
         }
 
         if (t == config.rounds) break;

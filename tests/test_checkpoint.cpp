@@ -692,6 +692,40 @@ TEST_F(CheckpointTest, WindowZeroReproducesTheFullRunExactly)
     EXPECT_EQ(result.start_round, snapshot.round);
 }
 
+TEST_F(CheckpointTest, WindowZeroReplaysALocalTriggerSwitch)
+{
+    // A local-threshold switch still armed at the snapshot: the window loop
+    // must compute max_local_difference each round for the trigger and fire
+    // it on the same round as the full run. The horizon ends three rounds
+    // after the switch, close enough that an early or late switch shows in
+    // the final discrepancy.
+    campaign_spec spec = windows_spec();
+    spec.base.nodes = 1024;
+    spec.base.rounds = 48;
+    spec.base.switch_mode = "local";
+    spec.base.switch_value = 8;
+    campaign_options with_snapshots;
+    with_snapshots.checkpoint_every = 40;
+    with_snapshots.checkpoint_dir = dir_;
+    const auto full = run_campaign(spec, with_snapshots);
+    ASSERT_EQ(full.scenarios.size(), 1u);
+    ASSERT_TRUE(full.scenarios[0].error.empty()) << full.scenarios[0].error;
+
+    const engine_checkpoint snapshot =
+        read_checkpoint_file(snapshot_path(spec));
+    ASSERT_FALSE(snapshot.runner.hybrid_switched);
+    ASSERT_GT(full.scenarios[0].switch_round, snapshot.round)
+        << "fixture must switch inside the window";
+
+    measure_windows_options options;
+    options.windows = 1;
+    options.window_rounds = spec.base.rounds - snapshot.round;
+    const auto result = measure_windows(spec, snapshot, options);
+    ASSERT_EQ(result.samples.size(), 1u);
+    EXPECT_EQ(result.samples[0].discrepancy,
+              full.scenarios[0].final_max_minus_average);
+}
+
 TEST_F(CheckpointTest, WindowAggregatesAreConsistent)
 {
     const campaign_spec spec = windows_spec();

@@ -11,6 +11,7 @@
 #include "linalg/spectra.hpp"
 #include "sim/initial_load.hpp"
 #include "sim/runner.hpp"
+#include "sim/thread_pool.hpp"
 
 namespace dlb {
 namespace {
@@ -70,6 +71,39 @@ TEST(Runner, LocalThresholdSwitchFires)
     EXPECT_GE(series.switch_round, 0);
     // After the switch the imbalance must end small (paper: drops to ~7).
     EXPECT_LE(series.max_minus_average.back(), 10.0);
+}
+
+// phi_local is computed only on recorded rounds and while a local trigger
+// is armed. Had an unrecorded round skipped it, the trigger would read a
+// stale or zero value and fire early; the switch round and final load must
+// instead be the same at every recording stride. The 128^2 torus spans four
+// reduce chunks, so the pool really splits the metric sweeps.
+TEST(Runner, LocalSwitchIndependentOfRecordStride)
+{
+    constexpr double kLocalSwitchThreshold = 20.0;
+    const graph g = make_torus_2d(128, 128);
+    const double beta = beta_opt(torus_2d_lambda(128, 128));
+    thread_pool pool(4);
+    auto config = base_config(g, sos_scheme(beta));
+    config.rounds = 200;
+    config.exec = &pool;
+    config.switching = switch_policy::when_local_below(kLocalSwitchThreshold);
+    const auto initial = uniform_range_load(g.num_nodes(), 0, 200, 9);
+
+    config.record_every = 1;
+    const auto reference = run_experiment_with_final_load(config, initial);
+    const std::int64_t fired = reference.series.switch_round;
+    ASSERT_GT(fired, 0);
+    ASSERT_NE(fired % 7, 0) << "fixture must switch on an unrecorded round";
+    ASSERT_NE(fired % 16, 0) << "fixture must switch on an unrecorded round";
+
+    for (const std::int64_t every : {7, 16}) {
+        config.record_every = every;
+        const auto outcome = run_experiment_with_final_load(config, initial);
+        EXPECT_EQ(outcome.series.switch_round, fired) << "record_every " << every;
+        EXPECT_EQ(outcome.final_load, reference.final_load)
+            << "record_every " << every;
+    }
 }
 
 TEST(Runner, ContinuousTwinDeviationRecorded)
