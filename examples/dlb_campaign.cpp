@@ -24,7 +24,6 @@
 // Reports are byte-identical for any --threads value, with or without
 // --shard + --merge, and with or without graph caching / scratch pooling;
 // add --timing to include (nondeterministic) wall-clock fields.
-#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <iomanip>
@@ -625,7 +624,7 @@ int main(int argc, char** argv)
         // In queue mode several workers are often pointed at the same
         // report paths; each writes identical bytes, but a plain ofstream
         // truncate-then-write would let a reader (or a crash) observe a
-        // partial file. Queue-mode reports go through temp + rename.
+        // partial file. Queue-mode reports are saved atomically.
         const bool atomic_reports = result.queue.queue_mode;
         const auto write_report =
             [&](const std::string& path,
@@ -633,25 +632,7 @@ int main(int argc, char** argv)
                 if (atomic_reports) {
                     std::ostringstream bytes;
                     emit(bytes);
-                    const std::string temp = temp_path_for(path);
-                    {
-                        std::ofstream out(temp, std::ios::binary);
-                        if (!out)
-                            throw std::runtime_error("cannot open " + temp);
-                        out << bytes.str();
-                        if (!out.flush())
-                            throw std::runtime_error("write failed for " +
-                                                     temp);
-                    }
-                    std::error_code ec;
-                    std::filesystem::rename(temp, path, ec);
-                    if (ec) {
-                        std::error_code cleanup_ec;
-                        std::filesystem::remove(temp, cleanup_ec);
-                        throw std::runtime_error("cannot rename " + temp +
-                                                 " to " + path + ": " +
-                                                 ec.message());
-                    }
+                    write_file_atomic(path, bytes.str(), "report");
                     return;
                 }
                 std::ofstream out(path);

@@ -18,7 +18,6 @@
 #include "core/checkpoint.hpp"
 #include "core/diffusion_matrix.hpp"
 #include "core/hybrid.hpp"
-#include "core/metrics.hpp"
 #include "obs/obs.hpp"
 #include "obs/progress.hpp"
 #include "sim/runner.hpp"
@@ -161,6 +160,106 @@ switch_policy resolve_switching(const scenario_spec& spec)
     throw std::invalid_argument("unknown switch mode '" + spec.switch_mode + "'");
 }
 
+workload_spec workload_of(const scenario_spec& spec)
+{
+    return {spec.workload, spec.workload_rate, spec.workload_amount,
+            spec.workload_period};
+}
+
+/// One scenario instance resolved from its spec: everything run_experiment
+/// needs except the per-invocation knobs (record stride, executor,
+/// scratch, checkpointing), which the caller sets on `config`.
+struct resolved_scenario {
+    std::shared_ptr<const graph> network; // config.diffusion points into it
+    experiment_config config;
+    std::vector<std::int64_t> initial;
+    std::unique_ptr<workload_hook> workload; // wired into config.workload
+    double lambda = -1.0; // -1 unless the scheme read it
+    double beta = 0.0;
+};
+
+/// The one spec -> instance resolution, shared by run_scenario and
+/// measure_windows so a snapshot is always sampled under the very scheme,
+/// alpha and speeds the checkpointing run resolved.
+resolved_scenario resolve_scenario(const scenario_spec& spec, graph_cache* cache)
+{
+    if (spec.rounds < 0)
+        throw std::invalid_argument("scenario: negative round count");
+    // set_field rejects this eagerly, but programmatic specs can hold
+    // anything, and a NaN param would corrupt cache-key ordering.
+    if (!std::isfinite(spec.topology_param))
+        throw std::invalid_argument("scenario: topology_param must be finite");
+
+    resolved_scenario out;
+    // Resolve the topology: shared from the cache when one is given
+    // (identical build inputs, so bit-identical graphs), cold-built
+    // otherwise. The shared_ptr keeps a cached graph alive for the run.
+    out.network = cache != nullptr
+                      ? cache->get(spec.topology, spec.nodes,
+                                   spec.topology_param, spec.seed)
+                      : std::make_shared<const graph>(build_topology(
+                            spec.topology, spec.nodes, spec.topology_param,
+                            topology_seed(spec.seed)));
+    const graph& g = *out.network;
+
+    experiment_config& config = out.config;
+    diffusion_config& diffusion = config.diffusion;
+    diffusion.network = &g;
+    diffusion.alpha = make_alpha(g, resolve_alpha(spec), spec.alpha_gamma);
+    diffusion.speeds = resolve_speeds(spec, g.num_nodes());
+    const auto lambda_of = [&] {
+        const auto compute = [&] {
+            return compute_lambda(g, diffusion.alpha, diffusion.speeds);
+        };
+        return cache != nullptr ? cache->lambda(lambda_cache_key(spec), compute)
+                                : compute();
+    };
+
+    // Relaxation parameter: explicit beta wins; otherwise SOS and
+    // Chebyshev derive it from the computed lambda (Table I pipeline).
+    if (spec.scheme == "fos") {
+        diffusion.scheme = fos_scheme();
+        out.beta = 1.0;
+    } else if (spec.scheme == "sos") {
+        out.beta = spec.beta;
+        if (out.beta <= 0.0) {
+            out.lambda = lambda_of();
+            out.beta = beta_opt(out.lambda);
+        }
+        diffusion.scheme = sos_scheme(out.beta);
+    } else if (spec.scheme == "chebyshev") {
+        out.lambda = lambda_of();
+        diffusion.scheme = chebyshev_scheme(out.lambda);
+        out.beta = beta_opt(out.lambda);
+    } else {
+        throw std::invalid_argument("unknown scheme '" + spec.scheme + "'");
+    }
+
+    // The versioned stream format reaches every randomized consumer: the
+    // load pattern, the workload model, and the engine's rounding.
+    // Topology construction and speed assignment stay format-independent
+    // by design, so graphs and lambdas are shared across a
+    // sweep.rng_version axis.
+    config.rng = resolve_rng_version(spec);
+    out.initial = build_initial_load(spec.load_pattern, g.num_nodes(),
+                                     spec.tokens_per_node,
+                                     mix64(spec.seed, kLoadStream), config.rng);
+    out.workload = make_workload(workload_of(spec), g.num_nodes(),
+                                 mix64(spec.seed, kWorkloadStream), config.rng);
+
+    config.process = resolve_process(spec);
+    config.rounding = resolve_rounding(spec);
+    config.seed = spec.seed;
+    config.policy = resolve_policy(spec);
+    config.rounds = spec.rounds;
+    config.switching = resolve_switching(spec);
+    // Plateau window scaled to the round budget: the runner default of
+    // 200 can never converge on short campaign runs.
+    config.imbalance_window = std::clamp<std::int64_t>(spec.rounds / 4, 8, 200);
+    config.workload = out.workload.get();
+    return out;
+}
+
 } // namespace
 
 scenario_result run_scenario(const scenario_spec& spec, std::int64_t index,
@@ -180,96 +279,16 @@ scenario_result run_scenario(const scenario_spec& spec, std::int64_t index,
     const stopwatch watch;
 
     try {
-        if (spec.rounds < 0)
-            throw std::invalid_argument("scenario: negative round count");
-        // set_field rejects this eagerly, but programmatic specs can hold
-        // anything, and a NaN param would corrupt cache-key ordering.
-        if (!std::isfinite(spec.topology_param))
-            throw std::invalid_argument(
-                "scenario: topology_param must be finite");
+        resolved_scenario resolved = resolve_scenario(spec, cache);
+        result.nodes = resolved.network->num_nodes();
+        result.edges = resolved.network->num_edges();
+        result.lambda = resolved.lambda;
+        result.beta = resolved.beta;
+        result.initial_total = std::accumulate(
+            resolved.initial.begin(), resolved.initial.end(), std::int64_t{0});
 
-        // Resolve the topology: shared from the cache when one is given
-        // (identical build inputs, so bit-identical graphs), cold-built
-        // otherwise. The shared_ptr keeps a cached graph alive for the run.
-        std::shared_ptr<const graph> shared;
-        std::optional<graph> owned;
-        if (cache != nullptr) {
-            shared = cache->get(spec.topology, spec.nodes, spec.topology_param,
-                                spec.seed);
-        } else {
-            owned.emplace(build_topology(spec.topology, spec.nodes,
-                                         spec.topology_param,
-                                         topology_seed(spec.seed)));
-        }
-        const graph& g = cache != nullptr ? *shared : *owned;
-        result.nodes = g.num_nodes();
-        result.edges = g.num_edges();
-
-        const auto alpha = make_alpha(g, resolve_alpha(spec), spec.alpha_gamma);
-        const auto speeds = resolve_speeds(spec, g.num_nodes());
-        const auto lambda_of = [&] {
-            return cache != nullptr
-                       ? cache->lambda(lambda_cache_key(spec),
-                                       [&] { return compute_lambda(g, alpha,
-                                                                   speeds); })
-                       : compute_lambda(g, alpha, speeds);
-        };
-
-        // Relaxation parameter: explicit beta wins; otherwise SOS and
-        // Chebyshev derive it from the computed lambda (Table I pipeline).
-        scheme_params scheme;
-        if (spec.scheme == "fos") {
-            scheme = fos_scheme();
-            result.beta = 1.0;
-        } else if (spec.scheme == "sos") {
-            double beta = spec.beta;
-            if (beta <= 0.0) {
-                result.lambda = lambda_of();
-                beta = beta_opt(result.lambda);
-            }
-            scheme = sos_scheme(beta);
-            result.beta = beta;
-        } else if (spec.scheme == "chebyshev") {
-            result.lambda = lambda_of();
-            scheme = chebyshev_scheme(result.lambda);
-            result.beta = beta_opt(result.lambda);
-        } else {
-            throw std::invalid_argument("unknown scheme '" + spec.scheme + "'");
-        }
-
-        // The versioned stream format reaches every randomized consumer:
-        // the load pattern, the workload model, and the engine's rounding.
-        // Topology construction and speed assignment stay format-independent
-        // by design, so graphs and lambdas are shared across a
-        // sweep.rng_version axis.
-        const rng_version rng = resolve_rng_version(spec);
-
-        const auto initial =
-            build_initial_load(spec.load_pattern, g.num_nodes(),
-                               spec.tokens_per_node, mix64(spec.seed, kLoadStream),
-                               rng);
-        result.initial_total =
-            std::accumulate(initial.begin(), initial.end(), std::int64_t{0});
-
-        const auto workload = make_workload(
-            {spec.workload, spec.workload_rate, spec.workload_amount,
-             spec.workload_period},
-            g.num_nodes(), mix64(spec.seed, kWorkloadStream), rng);
-
-        experiment_config config;
-        config.diffusion = {&g, alpha, speeds, scheme};
-        config.process = resolve_process(spec);
-        config.rounding = resolve_rounding(spec);
-        config.seed = spec.seed;
-        config.rng = rng;
-        config.policy = resolve_policy(spec);
-        config.rounds = spec.rounds;
+        experiment_config& config = resolved.config;
         config.record_every = record_every;
-        config.switching = resolve_switching(spec);
-        // Plateau window scaled to the round budget: the runner default of
-        // 200 can never converge on short campaign runs.
-        config.imbalance_window = std::clamp<std::int64_t>(spec.rounds / 4, 8, 200);
-        config.workload = workload.get();
         config.exec = engine_exec; // nullptr: serial round kernels (the
                                    // default when campaigns parallelize
                                    // across scenarios instead)
@@ -287,7 +306,7 @@ scenario_result run_scenario(const scenario_spec& spec, std::int64_t index,
             config.after_checkpoint = checkpointing->after_checkpoint;
         }
 
-        const time_series series = run_experiment(config, initial);
+        const time_series series = run_experiment(config, resolved.initial);
 
         if (!series_dir.empty())
             write_csv(series_dir + "/" + std::to_string(index) + "_" +
@@ -617,34 +636,18 @@ measure_windows_result measure_windows(const campaign_spec& spec,
             std::to_string(snapshot.rng_version) + " but the scenario uses " +
             std::to_string(target.rng_version));
 
-    // Resolve the scenario instance exactly as run_scenario does; the spec
-    // hash already guarantees these inputs equal the checkpointing run's.
-    const graph g =
-        build_topology(target.topology, target.nodes, target.topology_param,
-                       topology_seed(target.seed));
-    const auto alpha = make_alpha(g, resolve_alpha(target), target.alpha_gamma);
-    const auto speeds = resolve_speeds(target, g.num_nodes());
-
-    scheme_params scheme;
-    if (target.scheme == "fos") {
-        scheme = fos_scheme();
-    } else if (target.scheme == "sos") {
-        double beta = target.beta;
-        if (beta <= 0.0) beta = beta_opt(compute_lambda(g, alpha, speeds));
-        scheme = sos_scheme(beta);
-    } else if (target.scheme == "chebyshev") {
-        scheme = chebyshev_scheme(compute_lambda(g, alpha, speeds));
-    } else {
-        throw std::invalid_argument("unknown scheme '" + target.scheme + "'");
-    }
-
-    const rounding_kind rounding = resolve_rounding(target);
-    const negative_load_policy policy = resolve_policy(target);
-    const rng_version rng = resolve_rng_version(target);
-    const switch_policy switching = resolve_switching(target);
-    const diffusion_config diffusion{&g, alpha, speeds, scheme};
-    const std::vector<std::int64_t> zeros(
-        static_cast<std::size_t>(g.num_nodes()), 0);
+    // Resolve the scenario exactly as run_scenario does (the spec hash
+    // guarantees these inputs equal the checkpointing run's), then run each
+    // window through the runner's resume path. A window differs from the
+    // scenario only in its seed, its workload stream, its horizon and the
+    // snapshot's seed stamp, so the runner's scheme pin applies unchanged.
+    resolved_scenario resolved = resolve_scenario(target, nullptr);
+    experiment_config& config = resolved.config;
+    config.rounds = snapshot.round + options.window_rounds;
+    config.record_every = snapshot.record_every;
+    config.checkpoint_spec_hash = campaign_hash;
+    engine_checkpoint stamped = snapshot;
+    config.resume = &stamped;
 
     measure_windows_result result;
     result.campaign = spec;
@@ -656,56 +659,25 @@ measure_windows_result measure_windows(const campaign_spec& spec,
 
     for (std::int64_t k = 0; k < options.windows; ++k) {
         // Window 0 keeps the original seed: with window_rounds reaching the
-        // scenario's horizon it replays the uninterrupted tail bit for bit,
-        // which is how the tests pin this loop to the runner's.
+        // scenario's horizon it replays the uninterrupted tail bit for bit.
         const std::uint64_t window_seed =
             k == 0 ? target.seed
                    : mix64(target.seed, kWindowStream,
                            static_cast<std::uint64_t>(k));
-        discrete_process engine(diffusion, zeros, rounding, window_seed,
-                                policy, nullptr, nullptr, rng);
-        engine.restore_checkpoint(snapshot.discrete);
-        hybrid_controller hybrid(switching);
-        hybrid.restore(snapshot.runner.hybrid_switched,
-                       snapshot.runner.hybrid_switch_round);
         const auto workload = make_workload(
-            {target.workload, target.workload_rate, target.workload_amount,
-             target.workload_period},
-            g.num_nodes(), mix64(window_seed, kWorkloadStream), rng);
-
-        std::vector<std::int64_t> delta;
-        std::vector<double> load_view;
-        if (workload != nullptr) {
-            delta.resize(static_cast<std::size_t>(g.num_nodes()));
-            load_view.resize(delta.size());
-        }
-
-        const std::int64_t end = snapshot.round + options.window_rounds;
-        for (std::int64_t t = snapshot.round; t < end; ++t) {
-            const auto load = engine.load();
-            // Only the metric the armed trigger reads is computed; the
-            // engine is serial, so the metrics run serially too.
-            const switch_metric metric = hybrid.reads();
-            const double local = metric == switch_metric::local_difference
-                                     ? max_local_difference(g, load)
-                                     : 0.0;
-            const double global = metric == switch_metric::global_difference
-                                      ? max_minus_average(load)
-                                      : 0.0;
-            if (hybrid.should_switch(t, local, global))
-                engine.set_scheme(fos_scheme());
-            if (workload != nullptr) {
-                std::copy(load.begin(), load.end(), load_view.begin());
-                std::fill(delta.begin(), delta.end(), std::int64_t{0});
-                if (workload->apply(t, load_view, delta)) engine.inject(delta);
-            }
-            engine.step();
-        }
+            workload_of(target), resolved.network->num_nodes(),
+            mix64(window_seed, kWorkloadStream), config.rng);
+        config.seed = window_seed;
+        config.workload = workload.get();
+        stamped.seed = window_seed;
+        stamped.rng_check =
+            checkpoint_rng_check(stamped.rng_version, window_seed, stamped.round);
 
         window_sample sample;
         sample.window = k;
         sample.seed = window_seed;
-        sample.discrepancy = max_minus_average(engine.load());
+        sample.discrepancy =
+            run_experiment(config, resolved.initial).max_minus_average.back();
         result.samples.push_back(sample);
     }
 

@@ -275,6 +275,8 @@ struct measure_windows_result {
 /// W = rounds - start_round it reproduces the uninterrupted run's final
 /// discrepancy exactly — and window k derives seed_k = mix64(seed,
 /// kWindowStream, k), so samples are independent replicas of the tail.
+/// Each window runs through run_experiment's resume path, so the snapshot
+/// must pass the same validation as a resume, scheme pin included.
 /// Throws std::invalid_argument on any mismatch, naming the field.
 measure_windows_result measure_windows(const campaign_spec& spec,
                                        const engine_checkpoint& snapshot,

@@ -210,34 +210,6 @@ struct lease_entry {
     std::string current_holder = kNoHolder;
 };
 
-void write_text_atomic(const std::string& path, const std::string& bytes,
-                       const char* what)
-{
-    const std::string temp = temp_path_for(path);
-    std::error_code cleanup_ec;
-    {
-        std::ofstream out(temp, std::ios::binary | std::ios::trunc);
-        if (!out)
-            throw std::runtime_error(std::string(what) + ": cannot write " +
-                                     temp);
-        out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-        out.flush();
-        if (!out) {
-            out.close();
-            std::filesystem::remove(temp, cleanup_ec);
-            throw std::runtime_error(std::string(what) +
-                                     ": write failed for " + temp);
-        }
-    }
-    std::error_code ec;
-    std::filesystem::rename(temp, path, ec);
-    if (ec) {
-        std::filesystem::remove(temp, cleanup_ec);
-        throw std::runtime_error(std::string(what) + ": cannot rename " +
-                                 temp + " to " + path + ": " + ec.message());
-    }
-}
-
 void write_leases(const std::string& path,
                   const std::vector<lease_entry>& entries)
 {
@@ -246,7 +218,7 @@ void write_leases(const std::string& path,
     for (const lease_entry& entry : entries)
         out << entry.index << "\t" << entry.leases << "\t"
             << entry.first_holder << "\t" << entry.current_holder << "\n";
-    write_text_atomic(path, out.str(), "queue leases");
+    write_file_atomic(path, out.str(), "queue leases");
 }
 
 std::vector<std::string> split_tabs(const std::string& line)
@@ -316,7 +288,7 @@ void ensure_meta(const std::string& path, std::uint64_t hash,
             << "spec_hash\t" << hex64_string(hash) << "\n"
             << "scenario_count\t" << scenario_count << "\n"
             << "record_every\t" << record_every << "\n";
-        write_text_atomic(path, out.str(), "queue meta");
+        write_file_atomic(path, out.str(), "queue meta");
         return;
     }
     std::string line;
@@ -395,7 +367,7 @@ void write_row_file(const std::string& path, const campaign_spec& spec,
     one.scenarios.push_back(row);
     std::ostringstream bytes;
     write_csv(bytes, one, /*include_timing=*/false);
-    write_text_atomic(path, bytes.str(), "queue row");
+    write_file_atomic(path, bytes.str(), "queue row");
 }
 
 /// The newest valid checkpoint for a re-leased scenario, or nullopt to run

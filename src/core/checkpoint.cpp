@@ -1,7 +1,6 @@
 #include "core/checkpoint.hpp"
 
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <stdexcept>
 
@@ -557,34 +556,10 @@ engine_checkpoint parse_checkpoint(std::string_view bytes)
 void write_checkpoint_file(const std::string& path,
                            const engine_checkpoint& checkpoint)
 {
-    const std::string image = serialize_checkpoint(checkpoint);
-
-    // Temp + rename (util/tempfile.hpp naming): the destination path always
-    // holds a complete old or new snapshot, never a partial write — which
-    // is the whole point of checkpointing against crashes. Cleanup uses the
-    // non-throwing remove overload so a failing cleanup can never mask the
-    // original error with a secondary filesystem_error.
-    const std::string temp = temp_path_for(path);
-    std::error_code cleanup_ec;
-    {
-        std::ofstream out(temp, std::ios::binary | std::ios::trunc);
-        if (!out)
-            throw std::runtime_error("checkpoint: cannot write " + temp);
-        out.write(image.data(), static_cast<std::streamsize>(image.size()));
-        out.flush();
-        if (!out) {
-            out.close();
-            std::filesystem::remove(temp, cleanup_ec);
-            throw std::runtime_error("checkpoint: write failed for " + temp);
-        }
-    }
-    std::error_code ec;
-    std::filesystem::rename(temp, path, ec);
-    if (ec) {
-        std::filesystem::remove(temp, cleanup_ec);
-        throw std::runtime_error("checkpoint: cannot rename " + temp + " to " +
-                                 path + ": " + ec.message());
-    }
+    // Atomic save (util/tempfile.hpp): the destination path always holds a
+    // complete old or new snapshot, never a partial write — which is the
+    // whole point of checkpointing against crashes.
+    write_file_atomic(path, serialize_checkpoint(checkpoint), "checkpoint");
 }
 
 engine_checkpoint read_checkpoint_file(const std::string& path)

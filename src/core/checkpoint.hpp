@@ -22,8 +22,8 @@
 // Readers are strict: wrong magic, truncation, flipped bytes (checksum),
 // out-of-range enums, or internally inconsistent state all throw with a
 // message naming what failed — a corrupt snapshot never resumes silently.
-// Writers are atomic (write temp + rename, like the lambda sidecar), so
-// the checkpoint path always holds a complete old or new snapshot.
+// Writers are atomic (util/tempfile's write_file_atomic), so the
+// checkpoint path always holds a complete old or new snapshot.
 //
 // Layering: this is a src/core facility. The campaign layer's spec hash
 // travels through it as an opaque token; core never depends on campaign.

@@ -1,9 +1,10 @@
-// Atomic-save temp-file naming and crash-orphan cleanup.
+// Atomic file saves and crash-orphan cleanup.
 //
-// Every atomic writer in the tree (lambda sidecar, checkpoints, the
-// orchestrator's queue files) follows the same protocol: write
-// `<path>.tmp.<pid>.<serial>` next to the destination, then rename over it,
-// so readers only ever observe a complete old or new file. A process killed
+// write_file_atomic is the one atomic writer in the tree: the lambda
+// sidecar, checkpoints, run manifests, the orchestrator's queue files and
+// queue-mode reports all save through it. It writes
+// `<path>.tmp.<pid>.<serial>` next to the destination, then renames over
+// it, so readers only ever observe a complete old or new file. A process killed
 // between the write and the rename leaves the temp behind forever — it can
 // never *shadow* a real file (reads go to `path` only), but a long campaign
 // that crashes repeatedly strews orphans through checkpoint and queue
@@ -15,6 +16,7 @@
 
 #include <cstddef>
 #include <string>
+#include <string_view>
 
 namespace dlb {
 
@@ -24,6 +26,13 @@ namespace dlb {
 /// process apart. The pid is embedded so a later sweep can prove the writer
 /// is gone.
 std::string temp_path_for(const std::string& path);
+
+/// Saves `bytes` to `path` atomically: write a temp_path_for(path) file,
+/// flush, rename over `path`. On any failure the temp is removed and a
+/// std::runtime_error prefixed with `what` (e.g. "checkpoint") names the
+/// path that failed.
+void write_file_atomic(const std::string& path, std::string_view bytes,
+                       const char* what);
 
 /// True when `name` (a bare filename) matches the atomic-save temp pattern
 /// `<base>.tmp.<pid>.<serial>`; `pid_out` (optional) receives the embedded

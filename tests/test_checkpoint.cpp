@@ -21,8 +21,9 @@
 //
 //  4. Windowed sampling (measure_windows): window 0 with W = rounds -
 //     start_round reproduces the uninterrupted run's final discrepancy
-//     exactly; aggregates are consistent; non-discrete snapshots and
-//     degenerate options are rejected.
+//     exactly; re-seeded windows match golden values; aggregates are
+//     consistent; non-discrete snapshots, snapshots under another scheme
+//     and degenerate options are rejected.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -765,6 +766,61 @@ TEST_F(CheckpointTest, WindowAggregatesAreConsistent)
         EXPECT_EQ(again.samples[i].seed, result.samples[i].seed);
         EXPECT_EQ(again.samples[i].discrepancy, result.samples[i].discrepancy);
     }
+}
+
+// Golden values for the re-seeded windows 1..4 (K = 5, W = 10 from the
+// round-40 snapshot), recorded from the build whose windows ran a private
+// engine loop. Windows now run through run_experiment's resume path; these
+// literals prove it is the same program, seeds and bits.
+TEST_F(CheckpointTest, ReseededWindowsMatchGoldenValues)
+{
+    const campaign_spec spec = windows_spec();
+    campaign_options with_snapshots;
+    with_snapshots.checkpoint_every = 40;
+    with_snapshots.checkpoint_dir = dir_;
+    run_campaign(spec, with_snapshots);
+    const engine_checkpoint snapshot =
+        read_checkpoint_file(snapshot_path(spec));
+    ASSERT_EQ(snapshot.round, 40);
+
+    measure_windows_options options;
+    options.windows = 5;
+    options.window_rounds = 10;
+    const auto result = measure_windows(spec, snapshot, options);
+    ASSERT_EQ(result.samples.size(), 5u);
+
+    const std::uint64_t seeds[] = {12292164382328776928ull,
+                                   3767983011347183381ull,
+                                   10060818075775667555ull,
+                                   5243479874409963082ull};
+    const double discrepancies[] = {1.6111111111111143, 2.4444444444444571,
+                                    1.8611111111111143, 1.5833333333333428};
+    for (std::size_t k = 1; k < 5; ++k) {
+        EXPECT_EQ(result.samples[k].seed, seeds[k - 1]) << "window " << k;
+        EXPECT_EQ(result.samples[k].discrepancy, discrepancies[k - 1])
+            << "window " << k;
+    }
+}
+
+// Windows resume through the runner, so they honour the same scheme pin
+// as --resume: a snapshot whose beta drifted by one ulp is refused.
+TEST_F(CheckpointTest, WindowsRejectSnapshotUnderAnotherScheme)
+{
+    const campaign_spec spec = windows_spec();
+    campaign_options with_snapshots;
+    with_snapshots.checkpoint_every = 40;
+    with_snapshots.checkpoint_dir = dir_;
+    run_campaign(spec, with_snapshots);
+    engine_checkpoint forged = read_checkpoint_file(snapshot_path(spec));
+    forged.discrete.scheme.beta =
+        std::nextafter(forged.discrete.scheme.beta, 0.0);
+
+    measure_windows_options options;
+    options.windows = 2;
+    options.window_rounds = 5;
+    expect_contains(
+        thrown_message([&] { measure_windows(spec, forged, options); }),
+        "scheme mismatch");
 }
 
 TEST_F(CheckpointTest, WindowedSamplingRejectsNonDiscreteAndBadOptions)

@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 
 #include "util/cli.hpp"
 #include "util/csv.hpp"
@@ -314,6 +315,25 @@ TEST_F(TempfileTest, TempPathEmbedsOwnPidAndRoundTripsTheParser)
     EXPECT_EQ(pid, static_cast<long>(::getpid()));
     // Successive temps for the same path never collide (distinct serials).
     EXPECT_NE(temp, temp_path_for(dir_ + "/report.csv"));
+}
+
+// A rename onto an existing directory fails; the error names the
+// destination and the temp is removed instead of leaking next to it.
+TEST_F(TempfileTest, FailedAtomicWriteThrowsNamingThePathAndLeavesNoTemp)
+{
+    const std::string path = dir_ + "/occupied";
+    std::filesystem::create_directories(path);
+    try {
+        write_file_atomic(path, "bytes\n", "report");
+        ADD_FAILURE() << "rename onto a directory did not throw";
+    } catch (const std::runtime_error& failure) {
+        const std::string message = failure.what();
+        EXPECT_EQ(message.rfind("report: ", 0), 0u) << message;
+        EXPECT_NE(message.find(path), std::string::npos) << message;
+    }
+    for (const auto& entry : std::filesystem::directory_iterator(dir_))
+        EXPECT_FALSE(is_temp_file_name(entry.path().filename().string()))
+            << "leaked " << entry.path();
 }
 
 TEST_F(TempfileTest, MalformedNamesAreNotTemps)
