@@ -21,12 +21,10 @@
 //   dlb_campaign --spec big.spec --merge s0.csv,s1.csv
 //     --csv full.csv --json full.json
 //
-// Reports are byte-identical for any --threads value, with or without
-// --shard + --merge, and with or without graph caching / scratch pooling;
-// add --timing to include (nondeterministic) wall-clock fields.
-#include <fstream>
+// Reports are byte-identical for any --threads / --engine-threads value
+// and with or without --shard + --merge; add --timing to include
+// (nondeterministic) wall-clock fields.
 #include <functional>
-#include <iomanip>
 #include <iostream>
 #include <optional>
 #include <set>
@@ -35,6 +33,7 @@
 #include <unistd.h> // gethostname
 
 #include "dlb.hpp"
+#include "util/parse.hpp" // hex64
 
 using namespace dlb;
 
@@ -69,8 +68,7 @@ void print_usage(std::ostream& out)
            "                         and shard processes so each distinct\n"
            "                         topology pays Lanczos once per\n"
            "                         machine. Missing/corrupt files\n"
-           "                         degrade to recompute; requires the\n"
-           "                         graph cache\n"
+           "                         degrade to recompute\n"
            "  --queue DIR            fault-tolerant lease-queue mode: this\n"
            "                         invocation becomes one worker on the\n"
            "                         shared queue directory (any number of\n"
@@ -126,10 +124,6 @@ void print_usage(std::ostream& out)
            "                         ignored — the two levels never compose,\n"
            "                         pick one. Reports are byte-identical\n"
            "                         either way\n"
-           "  --no-graph-cache       re-resolve the topology per scenario\n"
-           "                         instead of sharing resolved graphs\n"
-           "  --no-scratch-pool      allocate engine arrays per scenario\n"
-           "                         instead of pooling per worker\n"
            "  --record-every N       series sampling stride (0: rounds/256)\n"
            "  --json PATH            write the aggregated JSON report\n"
            "  --csv PATH             write the per-scenario CSV report\n"
@@ -192,11 +186,16 @@ void print_registry(std::ostream& out)
     for (const auto& name : campaign::workload_names()) out << "  " << name << "\n";
 }
 
-std::string hex64(std::uint64_t value)
+// Every report is written through write_file_atomic: a reader (or a peer
+// queue worker pointed at the same path) sees the old file or the whole
+// new one, and a failed write exits non-zero leaving neither a partial
+// report nor a temp behind.
+void write_report(const std::string& path,
+                  const std::function<void(std::ostream&)>& emit)
 {
-    std::ostringstream out;
-    out << std::hex << std::setw(16) << std::setfill('0') << value;
-    return out.str();
+    std::ostringstream bytes;
+    emit(bytes);
+    write_file_atomic(path, bytes.str(), "report");
 }
 
 // The provenance record one invocation (shard or whole campaign) writes via
@@ -327,8 +326,7 @@ int main(int argc, char** argv)
                                        "resume",  "measure-windows",
                                        "window-rounds",
                                        "lambda-cache", "threads",
-                                       "engine-threads", "no-graph-cache",
-                                       "no-scratch-pool", "record-every",
+                                       "engine-threads", "record-every",
                                        "rng-version", "sweep.rng-version",
                                        "json",    "csv",    "series-dir",
                                        "timing",  "trace",  "metrics",
@@ -459,16 +457,16 @@ int main(int argc, char** argv)
                       << windows.ci95_half_width << "\n";
             if (args.has("json")) {
                 const std::string path = args.get_string("json", "");
-                std::ofstream out(path);
-                if (!out) throw std::runtime_error("cannot open " + path);
-                campaign::write_windows_json(out, windows);
+                write_report(path, [&](std::ostream& out) {
+                    campaign::write_windows_json(out, windows);
+                });
                 std::cout << "json -> " << path << "\n";
             }
             if (args.has("csv")) {
                 const std::string path = args.get_string("csv", "");
-                std::ofstream out(path);
-                if (!out) throw std::runtime_error("cannot open " + path);
-                campaign::write_windows_csv(out, windows);
+                write_report(path, [&](std::ostream& out) {
+                    campaign::write_windows_csv(out, windows);
+                });
                 std::cout << "csv -> " << path << "\n";
             }
             return 0;
@@ -534,8 +532,6 @@ int main(int argc, char** argv)
             options.engine_threads = static_cast<unsigned>(engine_threads);
             options.record_every = args.get_int("record-every", 0);
             options.series_dir = args.get_string("series-dir", "");
-            options.reuse_graphs = !args.get_bool("no-graph-cache", false);
-            options.pool_scratch = !args.get_bool("no-scratch-pool", false);
             options.lambda_cache_path = args.get_string("lambda-cache", "");
             if (args.has("lambda-cache") && options.lambda_cache_path.empty())
                 throw std::invalid_argument(
@@ -621,24 +617,6 @@ int main(int argc, char** argv)
                       << " sidecar_loaded=" << result.lambda_sidecar_loaded
                       << "\n";
 
-        // In queue mode several workers are often pointed at the same
-        // report paths; each writes identical bytes, but a plain ofstream
-        // truncate-then-write would let a reader (or a crash) observe a
-        // partial file. Queue-mode reports are saved atomically.
-        const bool atomic_reports = result.queue.queue_mode;
-        const auto write_report =
-            [&](const std::string& path,
-                const std::function<void(std::ostream&)>& emit) {
-                if (atomic_reports) {
-                    std::ostringstream bytes;
-                    emit(bytes);
-                    write_file_atomic(path, bytes.str(), "report");
-                    return;
-                }
-                std::ofstream out(path);
-                if (!out) throw std::runtime_error("cannot open " + path);
-                emit(out);
-            };
         if (args.has("json")) {
             const std::string path = args.get_string("json", "");
             write_report(path, [&](std::ostream& out) {

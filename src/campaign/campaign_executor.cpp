@@ -12,6 +12,7 @@
 
 #include "campaign/orchestrator.hpp"
 #include "campaign/registry.hpp"
+#include "campaign/scenario_loop.hpp"
 #include "campaign/workload.hpp"
 #include "core/alpha.hpp"
 #include "core/beta.hpp"
@@ -22,7 +23,8 @@
 #include "obs/progress.hpp"
 #include "sim/runner.hpp"
 #include "sim/thread_pool.hpp"
-#include "util/csv.hpp" // format_double
+#include "util/csv.hpp"   // format_double
+#include "util/parse.hpp" // hex64
 #include "util/rng.hpp"
 #include "util/sync.hpp"
 #include "util/tempfile.hpp"
@@ -41,17 +43,6 @@ constexpr std::uint64_t kWorkloadStream = 0x776b6c64;
 // Per-window reseeding for measure_windows ("wndw"): window k > 0 runs
 // under mix64(seed, kWindowStream, k), giving independent tail replicas.
 constexpr std::uint64_t kWindowStream = 0x776e6477;
-
-std::string hex64_string(std::uint64_t value)
-{
-    static const char digits[] = "0123456789abcdef";
-    std::string out(16, '0');
-    for (int i = 15; i >= 0; --i) {
-        out[static_cast<std::size_t>(i)] = digits[value & 0xf];
-        value >>= 4;
-    }
-    return out;
-}
 
 alpha_policy resolve_alpha(const scenario_spec& spec)
 {
@@ -180,8 +171,9 @@ struct resolved_scenario {
 
 /// The one spec -> instance resolution, shared by run_scenario and
 /// measure_windows so a snapshot is always sampled under the very scheme,
-/// alpha and speeds the checkpointing run resolved.
-resolved_scenario resolve_scenario(const scenario_spec& spec, graph_cache* cache)
+/// alpha and speeds the checkpointing run resolved. Topologies and lambdas
+/// come from `cache` (identical build inputs, so bit-identical results).
+resolved_scenario resolve_scenario(const scenario_spec& spec, graph_cache& cache)
 {
     if (spec.rounds < 0)
         throw std::invalid_argument("scenario: negative round count");
@@ -191,15 +183,9 @@ resolved_scenario resolve_scenario(const scenario_spec& spec, graph_cache* cache
         throw std::invalid_argument("scenario: topology_param must be finite");
 
     resolved_scenario out;
-    // Resolve the topology: shared from the cache when one is given
-    // (identical build inputs, so bit-identical graphs), cold-built
-    // otherwise. The shared_ptr keeps a cached graph alive for the run.
-    out.network = cache != nullptr
-                      ? cache->get(spec.topology, spec.nodes,
-                                   spec.topology_param, spec.seed)
-                      : std::make_shared<const graph>(build_topology(
-                            spec.topology, spec.nodes, spec.topology_param,
-                            topology_seed(spec.seed)));
+    // The shared_ptr keeps a cached graph alive for the run.
+    out.network =
+        cache.get(spec.topology, spec.nodes, spec.topology_param, spec.seed);
     const graph& g = *out.network;
 
     experiment_config& config = out.config;
@@ -208,11 +194,9 @@ resolved_scenario resolve_scenario(const scenario_spec& spec, graph_cache* cache
     diffusion.alpha = make_alpha(g, resolve_alpha(spec), spec.alpha_gamma);
     diffusion.speeds = resolve_speeds(spec, g.num_nodes());
     const auto lambda_of = [&] {
-        const auto compute = [&] {
+        return cache.lambda(lambda_cache_key(spec), [&] {
             return compute_lambda(g, diffusion.alpha, diffusion.speeds);
-        };
-        return cache != nullptr ? cache->lambda(lambda_cache_key(spec), compute)
-                                : compute();
+        });
     };
 
     // Relaxation parameter: explicit beta wins; otherwise SOS and
@@ -260,26 +244,89 @@ resolved_scenario resolve_scenario(const scenario_spec& spec, graph_cache* cache
     return out;
 }
 
-} // namespace
+std::string checkpoint_path_of(const std::string& dir, std::int64_t index,
+                               const std::string& label)
+{
+    return dir + "/" + std::to_string(index) + "_" + label + ".ckpt";
+}
 
+/// The one check of a snapshot against the campaign it is fed to: the
+/// campaign's spec_hash, a scenario index inside the expansion, that
+/// scenario's rng_version, the sampling stride (record_every 0: the
+/// snapshot's own stride is adopted) and, when `assignment` is given,
+/// membership in it (a shard's partition, a queue worker's lease). Throws
+/// std::invalid_argument prefixed with `where`, naming the field; returns
+/// the snapshot's scenario. The runner's validate_resume re-checks the
+/// engine-level fields (seed, rounding, policy, scheme) when the run starts.
+const scenario_spec& check_snapshot(const engine_checkpoint& snapshot,
+                                    const std::string& where,
+                                    std::uint64_t campaign_hash,
+                                    const std::vector<scenario_spec>& scenarios,
+                                    std::int64_t record_every,
+                                    const std::vector<std::int64_t>* assignment,
+                                    const std::string& owner)
+{
+    const auto fail = [&](const std::string& message) {
+        throw std::invalid_argument(where + ": " + message);
+    };
+    if (snapshot.spec_hash != campaign_hash)
+        fail("spec_hash mismatch: the snapshot was saved under campaign "
+             "spec_hash " +
+             hex64(snapshot.spec_hash) +
+             " but this invocation's spec hashes to " + hex64(campaign_hash) +
+             "; use the same campaign definition");
+    const std::int64_t index = snapshot.scenario_index;
+    if (index < 0 || index >= static_cast<std::int64_t>(scenarios.size()))
+        fail("scenario index " + std::to_string(index) +
+             " is outside this campaign's " +
+             std::to_string(scenarios.size()) + " scenarios");
+    const scenario_spec& target = scenarios[static_cast<std::size_t>(index)];
+    if (snapshot.rng_version != target.rng_version)
+        fail("rng_version mismatch: the snapshot has " +
+             std::to_string(snapshot.rng_version) + " but scenario " +
+             std::to_string(index) + " uses " +
+             std::to_string(target.rng_version));
+    if (record_every > 0 && snapshot.record_every != record_every)
+        fail("record_every mismatch: the snapshot recorded every " +
+             std::to_string(snapshot.record_every) +
+             " rounds but this invocation records every " +
+             std::to_string(record_every) + " (rerun with --record-every " +
+             std::to_string(snapshot.record_every) + ")");
+    if (assignment != nullptr &&
+        !std::binary_search(assignment->begin(), assignment->end(), index))
+        fail("scenario " + std::to_string(index) + " is not in " + owner +
+             "'s assignment");
+    return target;
+}
+
+/// What every scenario a campaign worker runs shares.
+struct scenario_env {
+    const campaign_options& options;
+    std::int64_t record_every;
+    std::uint64_t spec_hash;
+    executor* engine_exec; // nullptr: serial round kernels
+    graph_cache& cache;
+    const orchestrator_hooks& hooks;
+};
+
+/// Resolves and runs one scenario; never throws — failures land in
+/// scenario_result::error so one bad cell cannot sink a sweep. `resume`
+/// (optional) continues the run from a snapshot.
 scenario_result run_scenario(const scenario_spec& spec, std::int64_t index,
-                             std::int64_t record_every,
-                             const std::string& series_dir,
-                             executor* engine_exec, graph_cache* cache,
-                             engine_scratch* scratch,
-                             const scenario_checkpointing* checkpointing)
+                             const scenario_env& env, engine_scratch& scratch,
+                             const engine_checkpoint* resume)
 {
     scenario_result result;
     result.spec = spec;
     result.index = index;
     result.label = scenario_label(spec);
-    result.record_every = record_every;
+    result.record_every = env.record_every;
     result.predicted_cost = scenario_cost(spec);
     const obs::trace_span span("scenario", result.label);
     const stopwatch watch;
 
     try {
-        resolved_scenario resolved = resolve_scenario(spec, cache);
+        resolved_scenario resolved = resolve_scenario(spec, env.cache);
         result.nodes = resolved.network->num_nodes();
         result.edges = resolved.network->num_edges();
         result.lambda = resolved.lambda;
@@ -288,29 +335,26 @@ scenario_result run_scenario(const scenario_spec& spec, std::int64_t index,
             resolved.initial.begin(), resolved.initial.end(), std::int64_t{0});
 
         experiment_config& config = resolved.config;
-        config.record_every = record_every;
-        config.exec = engine_exec; // nullptr: serial round kernels (the
-                                   // default when campaigns parallelize
-                                   // across scenarios instead)
-        config.scratch = scratch; // nullptr: engines allocate fresh
-
-        if (checkpointing != nullptr) {
-            config.checkpoint_every = checkpointing->every;
-            if (checkpointing->every > 0)
-                config.checkpoint_path = checkpointing->dir + "/" +
-                                         std::to_string(index) + "_" +
-                                         result.label + ".ckpt";
-            config.checkpoint_spec_hash = checkpointing->spec_hash;
-            config.checkpoint_scenario_index = index;
-            config.resume = checkpointing->resume;
-            config.after_checkpoint = checkpointing->after_checkpoint;
-        }
+        config.record_every = env.record_every;
+        config.exec = env.engine_exec;
+        config.scratch = &scratch;
+        config.checkpoint_every = env.options.checkpoint_every;
+        if (config.checkpoint_every > 0)
+            config.checkpoint_path = checkpoint_path_of(
+                env.options.checkpoint_dir, index, result.label);
+        config.checkpoint_spec_hash = env.spec_hash;
+        config.checkpoint_scenario_index = index;
+        config.resume = resume;
+        if (env.hooks.after_checkpoint)
+            config.after_checkpoint = [&env, index](std::int64_t round) {
+                env.hooks.after_checkpoint(index, round);
+            };
 
         const time_series series = run_experiment(config, resolved.initial);
 
-        if (!series_dir.empty())
-            write_csv(series_dir + "/" + std::to_string(index) + "_" +
-                          result.label + ".csv",
+        if (!env.options.series_dir.empty())
+            write_csv(env.options.series_dir + "/" + std::to_string(index) +
+                          "_" + result.label + ".csv",
                       series);
 
         result.final_max_minus_average = series.max_minus_average.back();
@@ -349,9 +393,7 @@ scenario_result run_scenario(const scenario_spec& spec, std::int64_t index,
     return result;
 }
 
-namespace {
-
-// Shared execution core for run_scenarios / run_campaign.
+// Static-shard execution for run_scenarios / run_campaign.
 campaign_result detail_run(const campaign_spec& spec,
                            const std::vector<scenario_spec>& scenarios,
                            const campaign_options& options)
@@ -365,84 +407,80 @@ campaign_result detail_run(const campaign_spec& spec,
         throw std::invalid_argument("campaign: shard count must be >= 1");
     if (options.shard_index < 0 || options.shard_index >= options.shard_count)
         throw std::invalid_argument("campaign: shard index out of range");
-    if (!options.lambda_cache_path.empty() && !options.reuse_graphs)
-        throw std::invalid_argument(
-            "campaign: the lambda sidecar is a tier of the graph cache "
-            "(drop --no-graph-cache to use --lambda-cache)");
-    if (options.checkpoint_every < 0)
-        throw std::invalid_argument("campaign: checkpoint-every must be >= 0");
-    if ((options.checkpoint_every > 0) != !options.checkpoint_dir.empty())
-        throw std::invalid_argument(
-            "campaign: --checkpoint-every and --checkpoint-dir must be set "
-            "together");
+    check_loop_options(options);
 
     // Process-level sharding: the partitioner (cost_model.hpp) splits the
     // expansion either round-robin or cost-balanced; both are pure
     // functions of the spec, so independently launched shard processes
     // agree on the assignment. Selected scenarios keep their global
     // indices; merge_shard_csv reassembles the full report.
-    const std::vector<std::int64_t> selected = partition_scenarios(
+    scenario_feed feed;
+    feed.assignment = partition_scenarios(
         scenarios, options.shard_count,
         options.balance)[static_cast<std::size_t>(options.shard_index)];
-    const auto count = static_cast<std::int64_t>(selected.size());
+    const auto count = static_cast<std::int64_t>(feed.assignment.size());
+    std::vector<scenario_result> rows(feed.assignment.size());
+    std::atomic<std::int64_t> next{0};
+    feed.next = [&](obs::progress_meter*) -> std::optional<scenario_claim> {
+        const std::int64_t slot = next.fetch_add(1);
+        if (slot >= count) return std::nullopt;
+        return scenario_claim{
+            feed.assignment[static_cast<std::size_t>(slot)], slot,
+            "[" + std::to_string(slot + 1) + "/" + std::to_string(count) + "]",
+            {}};
+    };
+    // Each slot is claimed exactly once, so no two workers share a row.
+    feed.finish = [&](const scenario_claim& claimed,
+                      const scenario_result& row, bool) {
+        rows[static_cast<std::size_t>(claimed.slot)] = row;
+    };
 
+    const obs::trace_span run_span("campaign", "run");
+    campaign_result result = run_scenario_loop(spec, scenarios, options, feed);
+    result.scenarios = std::move(rows);
+    return result;
+}
+
+} // namespace
+
+void check_loop_options(const campaign_options& options)
+{
+    if (options.checkpoint_every < 0)
+        throw std::invalid_argument("campaign: checkpoint-every must be >= 0");
+    if ((options.checkpoint_every > 0) != !options.checkpoint_dir.empty())
+        throw std::invalid_argument(
+            "campaign: --checkpoint-every and --checkpoint-dir must be set "
+            "together");
+}
+
+campaign_result run_scenario_loop(const campaign_spec& spec,
+                                  const std::vector<scenario_spec>& scenarios,
+                                  const campaign_options& options,
+                                  const scenario_feed& feed,
+                                  const orchestrator_hooks& hooks)
+{
+    const bool queue_mode = !options.queue_dir.empty();
     const std::int64_t record_every =
         resolved_record_every(spec, options.record_every);
+    const std::uint64_t campaign_hash = spec_hash(spec);
+    const auto count = static_cast<std::int64_t>(feed.assignment.size());
 
-    // Checkpoint wiring. Snapshots carry the campaign's spec_hash, and a
-    // resume snapshot is validated here — before any scenario spends work —
-    // against the campaign it claims to belong to, this shard's assignment
-    // and the effective sampling stride. Each check names the field so a
-    // stale or mislabeled snapshot is diagnosable, never silently replayed.
-    const bool with_checkpoints =
-        options.checkpoint_every > 0 || !options.resume_path.empty();
-    const std::uint64_t campaign_hash =
-        with_checkpoints ? spec_hash(spec) : 0;
+    // A --resume snapshot is gated before any scenario spends work against
+    // the campaign it claims to belong to, this shard's assignment and the
+    // effective stride, so a stale or mislabeled snapshot is diagnosable,
+    // never silently replayed. (Queue workers resume their own snapshots.)
     std::optional<engine_checkpoint> resume_snapshot;
     if (!options.resume_path.empty()) {
         resume_snapshot = read_checkpoint_file(options.resume_path);
-        if (resume_snapshot->spec_hash != campaign_hash)
-            throw std::invalid_argument(
-                "resume: spec_hash mismatch: " + options.resume_path +
-                " was saved under campaign spec_hash " +
-                hex64_string(resume_snapshot->spec_hash) +
-                " but this invocation's spec hashes to " +
-                hex64_string(campaign_hash) +
-                "; resume with the same campaign definition");
-        const std::int64_t target = resume_snapshot->scenario_index;
-        if (target < 0 ||
-            target >= static_cast<std::int64_t>(scenarios.size()))
-            throw std::invalid_argument(
-                "resume: scenario index " + std::to_string(target) +
-                " is outside this campaign's " +
-                std::to_string(scenarios.size()) + " scenarios");
-        const scenario_spec& target_spec =
-            scenarios[static_cast<std::size_t>(target)];
-        if (resume_snapshot->rng_version != target_spec.rng_version)
-            throw std::invalid_argument(
-                "resume: rng_version mismatch: checkpoint has " +
-                std::to_string(resume_snapshot->rng_version) +
-                " but scenario " + std::to_string(target) + " uses " +
-                std::to_string(target_spec.rng_version));
-        if (resume_snapshot->record_every != record_every)
-            throw std::invalid_argument(
-                "resume: record_every mismatch: checkpoint recorded every " +
-                std::to_string(resume_snapshot->record_every) +
-                " rounds but this invocation records every " +
-                std::to_string(record_every) +
-                " (rerun with --record-every " +
-                std::to_string(resume_snapshot->record_every) + ")");
-        if (std::find(selected.begin(), selected.end(), target) ==
-            selected.end())
-            throw std::invalid_argument(
-                "resume: scenario " + std::to_string(target) +
-                " is not in shard " + std::to_string(options.shard_index) +
-                "/" + std::to_string(options.shard_count) + "'s assignment");
+        check_snapshot(*resume_snapshot, "resume: " + options.resume_path,
+                       campaign_hash, scenarios, record_every,
+                       &feed.assignment,
+                       "shard " + std::to_string(options.shard_index) + "/" +
+                           std::to_string(options.shard_count));
     }
 
     campaign_result result;
     result.spec = spec;
-    result.scenarios.resize(selected.size());
 
     if (!options.series_dir.empty())
         std::filesystem::create_directories(options.series_dir);
@@ -450,22 +488,19 @@ campaign_result detail_run(const campaign_spec& spec,
         std::filesystem::create_directories(options.checkpoint_dir);
         // A killed run leaves `<ckpt>.tmp.<pid>.<n>` orphans next to its
         // snapshots; sweep the ones whose writer is provably gone so crash
-        // loops don't strew the directory (live co-shards are untouched).
+        // loops don't strew the directory (live co-workers are untouched).
         sweep_stale_temp_files(options.checkpoint_dir);
     }
 
-    const obs::trace_span run_span("campaign", "run");
     const stopwatch watch;
-    std::atomic<std::int64_t> next{0};
-    mutex progress_mutex;
 
-    // Heartbeats: total predicted cost of this shard's scenarios sizes the
-    // cost-model ETA. The meter lives in an optional so it can be torn down
-    // (printing its final summary line) before the sidecar save.
+    // Heartbeats: the predicted cost of this worker's scenarios sizes the
+    // cost-model ETA. The meter lives in an optional so it can be torn
+    // down (printing its final summary line) before the sidecar save.
     std::optional<obs::progress_meter> meter;
     if (options.heartbeat != nullptr) {
         double total_cost = 0.0;
-        for (const std::int64_t i : selected)
+        for (const std::int64_t i : feed.assignment)
             total_cost += scenario_cost(scenarios[static_cast<std::size_t>(i)]);
         obs::progress_meter::options meter_options;
         meter_options.period_seconds = options.heartbeat_seconds;
@@ -475,97 +510,130 @@ campaign_result detail_run(const campaign_spec& spec,
         meter.emplace(meter_options, count, total_cost);
     }
 
-    // Shared topology/lambda resolution across the whole campaign, with an
-    // optional persistent lambda tier loaded before any scenario runs.
+    // Shared topology/lambda resolution across the whole campaign, with a
+    // persistent lambda tier loaded before any scenario runs. Queue workers
+    // share one live sidecar inside the queue unless --lambda-cache
+    // overrides: reloaded on every lease (peers' computations arrive
+    // mid-run, and loads never override local entries) and saved, merged,
+    // after every row.
     graph_cache cache;
-    graph_cache* const cache_ptr = options.reuse_graphs ? &cache : nullptr;
-    if (!options.lambda_cache_path.empty())
+    const std::string sidecar_path =
+        !options.lambda_cache_path.empty() || !queue_mode
+            ? options.lambda_cache_path
+            : (std::filesystem::path(options.queue_dir) / "lambda.sidecar")
+                  .string();
+    if (!sidecar_path.empty())
         result.lambda_sidecar_loaded = static_cast<std::int64_t>(
-            cache.load_lambda_sidecar(options.lambda_cache_path));
-
-    // In-engine parallelism: one shared kernel pool handed to every
-    // scenario. The pool's parallel_for is a single-caller rendezvous, so
-    // scenario fan-out must be serial whenever engines are parallel; the
-    // two levels would oversubscribe the machine anyway.
-    std::unique_ptr<thread_pool> engine_pool;
-    if (options.engine_threads != 1)
-        engine_pool = std::make_unique<thread_pool>(options.engine_threads);
-
-    // One experiment per task: every pool invocation drains a shared index
-    // queue instead of sticking to its contiguous chunk, so a handful of
-    // slow scenarios cannot idle the other workers. results[slot] is
-    // written by exactly one claimant of slot, and each entry depends only
-    // on its spec, so output is identical for any thread count. Each worker
-    // drains the queue in a single invocation, so the scratch pool created
-    // here is per-worker and reused across all its scenarios.
-    auto drain_queue = [&](std::int64_t, std::int64_t) {
-        engine_scratch scratch;
-        engine_scratch* const scratch_ptr =
-            options.pool_scratch ? &scratch : nullptr;
-        std::int64_t slot = 0;
-        while ((slot = next.fetch_add(1)) < count) {
-            const std::int64_t i = selected[static_cast<std::size_t>(slot)];
-            scenario_checkpointing checkpointing;
-            checkpointing.every = options.checkpoint_every;
-            checkpointing.dir = options.checkpoint_dir;
-            checkpointing.spec_hash = campaign_hash;
-            checkpointing.resume =
-                resume_snapshot && resume_snapshot->scenario_index == i
-                    ? &*resume_snapshot
-                    : nullptr;
-            result.scenarios[slot] =
-                run_scenario(scenarios[i], i, record_every, options.series_dir,
-                             engine_pool.get(), cache_ptr, scratch_ptr,
-                             with_checkpoints ? &checkpointing : nullptr);
-            if (meter) {
-                const auto& r = result.scenarios[slot];
-                meter->scenario_done(r.predicted_cost, r.wall_seconds,
-                                     !r.error.empty());
-            }
-            if (options.progress != nullptr) {
-                const scoped_lock lock(progress_mutex);
-                const auto& r = result.scenarios[slot];
-                *options.progress
-                    << "[" << slot + 1 << "/" << count << "] " << r.label
-                    << (r.error.empty() ? "" : "  ERROR: " + r.error) << "\n";
-            }
-        }
-    };
-
-    unsigned threads = options.threads;
-    if (threads == 0) threads = std::max(1u, std::thread::hardware_concurrency());
-    if (engine_pool != nullptr) threads = 1; // see engine_pool comment above
-    if (threads <= 1 || count <= 1) {
-        drain_queue(0, count);
-    } else {
-        thread_pool pool(threads);
-        pool.parallel_tasks(count, drain_queue);
-    }
-    meter.reset(); // final heartbeat summary, before the sidecar save
-
-    // Persist every lambda this run computed (or inherited) so the next
-    // invocation — and any co-running shard — starts warm. Best effort on
-    // top of a successful run: the sidecar is an accelerator, and a write
-    // failure must not discard completed scenario results — but it must
-    // not vanish either (result.lambda_sidecar_error lets callers warn
-    // even when the progress stream is off).
-    if (!options.lambda_cache_path.empty()) {
+            cache.load_lambda_sidecar(sidecar_path));
+    // Persist every lambda this worker computed (or inherited) so the next
+    // invocation — and any co-running worker — starts warm. Best effort:
+    // the sidecar is an accelerator, so a failed save must not discard
+    // completed rows — but it must not vanish either
+    // (result.lambda_sidecar_error lets callers warn in quiet modes).
+    // Only ever called by one thread: the end of a static run, or the one
+    // queue worker after each row.
+    const auto save_sidecar = [&] {
         try {
-            cache.save_lambda_sidecar(options.lambda_cache_path);
+            cache.save_lambda_sidecar(sidecar_path);
         } catch (const std::exception& failure) {
             result.lambda_sidecar_error = failure.what();
             if (options.progress != nullptr)
                 *options.progress << "lambda sidecar not saved: "
                                   << failure.what() << "\n";
         }
-    }
+    };
 
+    // In-engine parallelism: one shared kernel pool handed to every
+    // scenario. The pool's parallel_for is a single-caller rendezvous, so
+    // the scenario fan-out must be serial whenever engines are parallel;
+    // the two levels would oversubscribe the machine anyway.
+    std::unique_ptr<thread_pool> engine_pool;
+    if (options.engine_threads != 1)
+        engine_pool = std::make_unique<thread_pool>(options.engine_threads);
+    const scenario_env env{options,          record_every, campaign_hash,
+                           engine_pool.get(), cache,       hooks};
+
+    // One scenario per claim: every worker drains the feed in a single
+    // invocation, so its scratch pool is reused across all its scenarios,
+    // and a handful of slow scenarios cannot idle the other workers.
+    mutex progress_mutex;
+    auto drain = [&](std::int64_t, std::int64_t) {
+        engine_scratch scratch;
+        while (const std::optional<scenario_claim> claimed =
+                   feed.next(meter ? &*meter : nullptr)) {
+            const std::int64_t index = claimed->index;
+            const scenario_spec& scenario =
+                scenarios[static_cast<std::size_t>(index)];
+            if (queue_mode) cache.load_lambda_sidecar(sidecar_path);
+
+            // A re-leased queue scenario's own valid snapshot turns a
+            // re-run into a tail-run; the resumed series is byte-identical
+            // to the uninterrupted one, so the row cannot tell. A damaged
+            // or mismatched snapshot means recompute, never an error row.
+            std::optional<engine_checkpoint> own;
+            const std::string own_path =
+                queue_mode && options.checkpoint_every > 0
+                    ? checkpoint_path_of(options.checkpoint_dir, index,
+                                         scenario_label(scenario))
+                    : std::string();
+            std::error_code ec;
+            if (!own_path.empty() && std::filesystem::exists(own_path, ec)) {
+                try {
+                    own = read_checkpoint_file(own_path);
+                    const std::vector<std::int64_t> lease{index};
+                    check_snapshot(*own, own_path, campaign_hash, scenarios,
+                                   record_every, &lease, "the lease");
+                } catch (const std::exception&) {
+                    own.reset();
+                }
+            }
+            const engine_checkpoint* resume =
+                own ? &*own
+                : resume_snapshot && resume_snapshot->scenario_index == index
+                    ? &*resume_snapshot
+                    : nullptr;
+
+            scenario_result row =
+                run_scenario(scenario, index, env, scratch, resume);
+            // An own snapshot that passed the gate but failed deeper
+            // validation (or a half-written file that parsed) must cost a
+            // recompute, never an error row the unsharded run would not
+            // have. A --resume snapshot's failure is the row's error.
+            if (!row.error.empty() && own)
+                row = run_scenario(scenario, index, env, scratch, nullptr);
+
+            feed.finish(*claimed, row, own.has_value());
+            if (queue_mode) save_sidecar();
+            if (meter)
+                meter->scenario_done(row.predicted_cost, row.wall_seconds,
+                                     !row.error.empty());
+            if (options.progress != nullptr) {
+                const scoped_lock lock(progress_mutex);
+                *options.progress
+                    << claimed->tag << " " << row.label << claimed->note
+                    << (own ? "  (resumed)" : "")
+                    << (row.error.empty() ? "" : "  ERROR: " + row.error)
+                    << "\n";
+            }
+        }
+    };
+
+    unsigned threads = queue_mode ? 1 : options.threads;
+    if (threads == 0) threads = std::max(1u, std::thread::hardware_concurrency());
+    if (engine_pool != nullptr) threads = 1; // see engine_pool comment above
+    if (threads <= 1 || count <= 1) {
+        drain(0, count);
+    } else {
+        thread_pool pool(threads);
+        pool.parallel_tasks(count, drain);
+    }
+    meter.reset(); // final heartbeat summary, before the sidecar save
+
+    if (!queue_mode && !sidecar_path.empty()) save_sidecar();
     result.cache = cache.stats();
     result.wall_seconds = watch.seconds();
     return result;
 }
-
-} // namespace
 
 campaign_result run_scenarios(const std::string& name,
                               const std::vector<scenario_spec>& scenarios,
@@ -601,25 +669,13 @@ measure_windows_result measure_windows(const campaign_spec& spec,
         throw std::invalid_argument(
             "measure_windows: window_rounds must be >= 1");
 
+    // Windows adopt the snapshot's stride and belong to no shard, so the
+    // gate pins the campaign, the scenario and its rng_version.
     const std::uint64_t campaign_hash = spec_hash(spec);
-    if (snapshot.spec_hash != campaign_hash)
-        throw std::invalid_argument(
-            "measure_windows: spec_hash mismatch: checkpoint was saved under "
-            "campaign spec_hash " +
-            hex64_string(snapshot.spec_hash) +
-            " but this invocation's spec hashes to " +
-            hex64_string(campaign_hash));
-
     const std::vector<scenario_spec> scenarios = expand(spec);
-    if (snapshot.scenario_index < 0 ||
-        snapshot.scenario_index >= static_cast<std::int64_t>(scenarios.size()))
-        throw std::invalid_argument(
-            "measure_windows: scenario index " +
-            std::to_string(snapshot.scenario_index) +
-            " is outside this campaign's " + std::to_string(scenarios.size()) +
-            " scenarios");
     const scenario_spec target =
-        scenarios[static_cast<std::size_t>(snapshot.scenario_index)];
+        check_snapshot(snapshot, "measure_windows", campaign_hash, scenarios,
+                       /*record_every=*/0, /*assignment=*/nullptr, {});
     if (target.process != "discrete")
         throw std::invalid_argument(
             "measure_windows: windowed sampling runs the discrete engine, "
@@ -630,18 +686,14 @@ measure_windows_result measure_windows(const campaign_spec& spec,
             "measure_windows: checkpoint holds " +
             std::string(to_string(snapshot.engine)) +
             " state, expected discrete");
-    if (snapshot.rng_version != target.rng_version)
-        throw std::invalid_argument(
-            "measure_windows: rng_version mismatch: checkpoint has " +
-            std::to_string(snapshot.rng_version) + " but the scenario uses " +
-            std::to_string(target.rng_version));
 
     // Resolve the scenario exactly as run_scenario does (the spec hash
     // guarantees these inputs equal the checkpointing run's), then run each
     // window through the runner's resume path. A window differs from the
     // scenario only in its seed, its workload stream, its horizon and the
     // snapshot's seed stamp, so the runner's scheme pin applies unchanged.
-    resolved_scenario resolved = resolve_scenario(target, nullptr);
+    graph_cache cache;
+    resolved_scenario resolved = resolve_scenario(target, cache);
     experiment_config& config = resolved.config;
     config.rounds = snapshot.round + options.window_rounds;
     config.record_every = snapshot.record_every;

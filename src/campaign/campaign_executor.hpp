@@ -1,16 +1,17 @@
 // Parallel campaign execution.
 //
-// Expands a campaign_spec into scenarios and fans them out across the
-// existing thread_pool, one experiment per task (workers pull scenario
-// indices from a shared queue, so uneven scenario costs still balance).
-// Each scenario runs its engines serially; parallelism lives entirely at
-// the scenario level, and every result is a pure function of its spec, so
-// campaign output is byte-identical for any worker count.
+// Expands a campaign_spec into scenarios and runs them through the one
+// scenario loop (scenario_loop.hpp) that lease-queue workers share.
+// Parallelism lives at one of two levels: scenario fan-out (`threads`;
+// workers pull scenario indices from a shared counter, so uneven scenario
+// costs still balance) or the engines' round kernels (`engine_threads`;
+// any value other than 1 makes the fan-out serial). Every result is a pure
+// function of its spec and the engines are deterministic for any worker
+// count, so campaign output is byte-identical for every thread setting.
 #ifndef DLB_CAMPAIGN_CAMPAIGN_EXECUTOR_HPP
 #define DLB_CAMPAIGN_CAMPAIGN_EXECUTOR_HPP
 
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -19,7 +20,6 @@
 #include "campaign/graph_cache.hpp"
 #include "campaign/spec.hpp"
 #include "core/process.hpp"
-#include "core/scratch.hpp"
 
 namespace dlb {
 struct engine_checkpoint; // core/checkpoint.hpp
@@ -43,16 +43,6 @@ struct campaign_options {
     /// deterministic for any worker count).
     unsigned engine_threads = 1;
 
-    /// Resolve each distinct topology (and its lambda) once per campaign
-    /// and share it across scenarios (graph_cache). Off: every scenario
-    /// cold-builds, the pre-cache behavior. Reports are byte-identical
-    /// either way.
-    bool reuse_graphs = true;
-    /// Reuse per-worker engine scratch (64-byte-aligned SoA buffers)
-    /// across consecutive scenarios instead of allocating per run. Off:
-    /// every engine allocates fresh. Reports are byte-identical either way.
-    bool pool_scratch = true;
-
     /// Process-level sharding: this invocation runs only the scenarios the
     /// partitioner assigns to shard_index of shard_count. Results keep
     /// their global indices, so shard CSV reports merge back into a
@@ -73,8 +63,7 @@ struct campaign_options {
     /// before any scenario runs and rewritten (atomically, merged with
     /// concurrent updates) after the last one, so repeated invocations and
     /// co-running shard processes pay Lanczos once per distinct topology
-    /// per machine. Requires reuse_graphs (the sidecar is a tier of that
-    /// cache); missing or corrupt files degrade to recompute.
+    /// per machine. Missing or corrupt files degrade to recompute.
     std::string lambda_cache_path;
 
     /// Checkpointing (core/checkpoint.hpp): when checkpoint_every > 0, each
@@ -183,10 +172,10 @@ struct campaign_result {
     /// Lease-queue activity of the worker that produced this result.
     queue_worker_stats queue;
     /// Resolution-cache counters for this run (all zero when the result was
-    /// assembled by merge_shard_csv or the graph cache was disabled). A
-    /// warm lambda sidecar shows up as lambda_misses == 0: every lookup
-    /// was served from cache. Like wall_seconds, never part of the
-    /// byte-deterministic reports — dlb_campaign prints it under --timing.
+    /// assembled by merge_shard_csv). A warm lambda sidecar shows up as
+    /// lambda_misses == 0: every lookup was served from cache. Like
+    /// wall_seconds, never part of the byte-deterministic reports —
+    /// dlb_campaign prints it under --timing.
     graph_cache::cache_stats cache;
     /// Entries loaded from options.lambda_cache_path (0: none/no sidecar).
     std::int64_t lambda_sidecar_loaded = 0;
@@ -195,35 +184,6 @@ struct campaign_result {
     /// recompute; callers should surface this even in quiet modes).
     std::string lambda_sidecar_error;
 };
-
-/// Per-scenario checkpoint wiring resolved by the campaign driver: the
-/// snapshot cadence/location plus (for at most one scenario) a parsed
-/// snapshot to resume from.
-struct scenario_checkpointing {
-    std::int64_t every = 0; // 0: no snapshots
-    std::string dir;
-    std::uint64_t spec_hash = 0;
-    const engine_checkpoint* resume = nullptr;
-    /// Forwarded to experiment_config::after_checkpoint: fires with the
-    /// snapshot round after each checkpoint file lands (crash-recovery
-    /// tests kill the process here). Pure observability.
-    std::function<void(std::int64_t)> after_checkpoint;
-};
-
-/// Resolves and runs one scenario; never throws — failures land in
-/// scenario_result::error so one bad cell cannot sink a sweep. A non-empty
-/// `series_dir` (must exist) also writes the recorded per-round series.
-/// `engine_exec` runs the per-round kernels (nullptr: serial); `cache`
-/// shares resolved topologies/lambdas across calls; `scratch` lends the
-/// engines pooled buffers; `checkpointing` (optional) snapshots and/or
-/// resumes the run. Results are byte-identical for every combination.
-scenario_result run_scenario(const scenario_spec& spec, std::int64_t index,
-                             std::int64_t record_every,
-                             const std::string& series_dir = {},
-                             executor* engine_exec = nullptr,
-                             graph_cache* cache = nullptr,
-                             engine_scratch* scratch = nullptr,
-                             const scenario_checkpointing* checkpointing = nullptr);
 
 /// Executes an explicit scenario list (programmatic campaigns, e.g. the
 /// bench reproductions). The spec echoed in the result carries `name` and

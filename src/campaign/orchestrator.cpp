@@ -22,10 +22,10 @@
 
 #include "campaign/cost_model.hpp"
 #include "campaign/report.hpp"
-#include "core/checkpoint.hpp"
+#include "campaign/scenario_loop.hpp"
 #include "obs/obs.hpp"
 #include "obs/progress.hpp"
-#include "sim/thread_pool.hpp"
+#include "util/parse.hpp" // hex64
 #include "util/sync.hpp"
 #include "util/tempfile.hpp"
 #include "util/thread_annotations.hpp"
@@ -38,17 +38,6 @@ namespace {
 constexpr const char* kMetaHeader = "# dlb queue meta v1";
 constexpr const char* kLeasesHeader = "# dlb queue leases v1";
 constexpr const char* kNoHolder = "-";
-
-std::string hex64_string(std::uint64_t value)
-{
-    static const char digits[] = "0123456789abcdef";
-    std::string out(16, '0');
-    for (int i = 15; i >= 0; --i) {
-        out[static_cast<std::size_t>(i)] = digits[value & 0xf];
-        value >>= 4;
-    }
-    return out;
-}
 
 /// Exclusive advisory lock on the queue's lock file, held for the object's
 /// lifetime. flock conflicts between *open file descriptions*, and every
@@ -285,7 +274,7 @@ void ensure_meta(const std::string& path, std::uint64_t hash,
     if (!in) {
         std::ostringstream out;
         out << kMetaHeader << "\n"
-            << "spec_hash\t" << hex64_string(hash) << "\n"
+            << "spec_hash\t" << hex64(hash) << "\n"
             << "scenario_count\t" << scenario_count << "\n"
             << "record_every\t" << record_every << "\n";
         write_file_atomic(path, out.str(), "queue meta");
@@ -308,12 +297,12 @@ void ensure_meta(const std::string& path, std::uint64_t hash,
         else if (fields[0] == "record_every")
             got_stride = parse_queue_int(fields[1], path);
     }
-    if (got_hash != hex64_string(hash))
+    if (got_hash != hex64(hash))
         throw std::runtime_error(
             "--queue: spec_hash mismatch: the queue was created for "
             "campaign spec_hash " +
             got_hash + " but this invocation's spec hashes to " +
-            hex64_string(hash) + "; point --queue at a fresh directory or "
+            hex64(hash) + "; point --queue at a fresh directory or "
             "rerun with the original campaign definition");
     if (got_count != scenario_count)
         throw std::runtime_error(
@@ -368,32 +357,6 @@ void write_row_file(const std::string& path, const campaign_spec& spec,
     std::ostringstream bytes;
     write_csv(bytes, one, /*include_timing=*/false);
     write_file_atomic(path, bytes.str(), "queue row");
-}
-
-/// The newest valid checkpoint for a re-leased scenario, or nullopt to run
-/// from scratch. Validation mirrors detail_run's resume gate (spec hash,
-/// scenario index, stride, rng version — the deeper engine-level fields
-/// are pinned by the spec hash); a damaged or mismatched snapshot means
-/// recompute, never an error row.
-std::optional<engine_checkpoint> try_load_checkpoint(
-    const std::string& dir, std::int64_t index, const std::string& label,
-    std::uint64_t hash, std::int64_t record_every, std::int32_t rng_version)
-{
-    if (dir.empty()) return std::nullopt;
-    const std::string path =
-        dir + "/" + std::to_string(index) + "_" + label + ".ckpt";
-    std::error_code ec;
-    if (!std::filesystem::exists(path, ec) || ec) return std::nullopt;
-    try {
-        engine_checkpoint snapshot = read_checkpoint_file(path);
-        if (snapshot.spec_hash != hash) return std::nullopt;
-        if (snapshot.scenario_index != index) return std::nullopt;
-        if (snapshot.record_every != record_every) return std::nullopt;
-        if (snapshot.rng_version != rng_version) return std::nullopt;
-        return snapshot;
-    } catch (const std::exception&) {
-        return std::nullopt;
-    }
 }
 
 /// What one locked look at the queue decided.
@@ -501,43 +464,27 @@ campaign_result run_queue_campaign(const campaign_spec& spec,
     if (!(options.lease_expiry_seconds > 0.0))
         throw std::invalid_argument(
             "campaign: lease_expiry_seconds must be > 0");
-    if (!options.lambda_cache_path.empty() && !options.reuse_graphs)
-        throw std::invalid_argument(
-            "campaign: the lambda sidecar is a tier of the graph cache "
-            "(drop --no-graph-cache to use --lambda-cache)");
-    if (options.checkpoint_every < 0)
-        throw std::invalid_argument("campaign: checkpoint-every must be >= 0");
-    if ((options.checkpoint_every > 0) != !options.checkpoint_dir.empty())
-        throw std::invalid_argument(
-            "campaign: --checkpoint-every and --checkpoint-dir must be set "
-            "together");
+    check_loop_options(options);
 
     const std::vector<scenario_spec> scenarios = expand(spec);
-    const std::int64_t record_every =
-        resolved_record_every(spec, options.record_every);
-    const std::uint64_t campaign_hash = spec_hash(spec);
     const auto total = static_cast<std::int64_t>(scenarios.size());
 
-    campaign_result result;
-    result.spec = spec;
-    result.queue.queue_mode = true;
-    if (scenarios.empty()) return result;
+    if (scenarios.empty()) {
+        campaign_result empty;
+        empty.spec = spec;
+        empty.queue.queue_mode = true;
+        return empty;
+    }
 
     const std::filesystem::path queue(options.queue_dir);
     std::filesystem::create_directories(queue / "rows");
-    if (!options.series_dir.empty())
-        std::filesystem::create_directories(options.series_dir);
-    if (!options.checkpoint_dir.empty())
-        std::filesystem::create_directories(options.checkpoint_dir);
-
     // A previously killed worker leaves `*.tmp.<pid>.<n>` orphans beside
-    // the leases file, the row files, its checkpoints and the sidecar;
-    // none can shadow a real file (reads go to the real names only), but
-    // sweep the provably dead ones so crash loops don't accumulate them.
+    // the leases file, the row files and the sidecar (the scenario loop
+    // sweeps its checkpoints); none can shadow a real file (reads go to
+    // the real names only), but sweep the provably dead ones so crash
+    // loops don't accumulate them.
     sweep_stale_temp_files(queue.string());
     sweep_stale_temp_files((queue / "rows").string());
-    if (!options.checkpoint_dir.empty())
-        sweep_stale_temp_files(options.checkpoint_dir);
 
     const std::string holder = make_holder_id();
     const std::string own_host = host_of(holder);
@@ -546,8 +493,8 @@ campaign_result run_queue_campaign(const campaign_spec& spec,
 
     {
         const queue_lock lock((queue / "lock").string());
-        ensure_meta((queue / "meta").string(), campaign_hash, total,
-                    record_every);
+        ensure_meta((queue / "meta").string(), spec_hash(spec), total,
+                    resolved_record_every(spec, options.record_every));
         std::error_code ec;
         if (!std::filesystem::exists(leases_path, ec) || ec) {
             std::vector<lease_entry> entries;
@@ -572,147 +519,53 @@ campaign_result run_queue_campaign(const campaign_spec& spec,
     std::optional<heartbeat_thread> beats;
     beats.emplace(hb_path, options.lease_heartbeat_seconds);
 
-    // Shared λ resolution with a live sidecar tier: loaded on every lease
-    // (merge-on-lease-renewal — peers' computations arrive mid-run, and
-    // loads never override locally computed entries) and saved, merged,
-    // after every completion. Default location is inside the queue so the
-    // whole fleet shares one file; --lambda-cache overrides.
-    graph_cache cache;
-    graph_cache* const cache_ptr = options.reuse_graphs ? &cache : nullptr;
-    const std::string sidecar_path =
-        !options.lambda_cache_path.empty()
-            ? options.lambda_cache_path
-            : (options.reuse_graphs ? (queue / "lambda.sidecar").string()
-                                    : std::string());
-    if (!sidecar_path.empty())
-        result.lambda_sidecar_loaded = static_cast<std::int64_t>(
-            cache.load_lambda_sidecar(sidecar_path));
-
-    std::optional<obs::progress_meter> meter;
-    if (options.heartbeat != nullptr) {
-        double total_cost = 0.0;
-        for (const scenario_spec& scenario : scenarios)
-            total_cost += scenario_cost(scenario);
-        obs::progress_meter::options meter_options;
-        meter_options.period_seconds = options.heartbeat_seconds;
-        meter_options.out = options.heartbeat;
-        meter.emplace(meter_options, total, total_cost);
-    }
-
-    // In-engine parallelism, same contract as detail_run: a queue worker
-    // runs its leased scenarios serially (the fan-out is across worker
-    // processes), so the kernel pool is the only in-process parallelism.
-    std::unique_ptr<thread_pool> engine_pool;
-    if (options.engine_threads != 1)
-        engine_pool = std::make_unique<thread_pool>(options.engine_threads);
-
-    engine_scratch scratch;
-    engine_scratch* const scratch_ptr =
-        options.pool_scratch ? &scratch : nullptr;
-
-    const bool with_checkpoints = options.checkpoint_every > 0;
-    constexpr double kFirstIdleBackoff = 0.01; // seconds
-    double idle_backoff = kFirstIdleBackoff;
-
-    while (true) {
-        const queue_pick pick =
-            pick_next(queue, leases_path, holder, own_host,
-                      options.lease_expiry_seconds);
-        if (meter)
-            meter->set_queue_view(pick.done, pick.leased_out,
-                                  result.queue.stolen,
-                                  result.queue.re_leased);
-        if (pick.decision == queue_pick::kind::all_done) break;
-        if (pick.decision == queue_pick::kind::wait) {
+    // The queue worker's feed: the next scenario is a lease taken under
+    // the queue lock, and a finished row becomes its row file.
+    queue_worker_stats stats;
+    bool stealing = false; // the current lease was first another's
+    const std::string tag = "[queue " + holder + "]";
+    scenario_feed feed;
+    feed.assignment.resize(scenarios.size());
+    std::iota(feed.assignment.begin(), feed.assignment.end(), std::int64_t{0});
+    feed.next = [&](obs::progress_meter* meter)
+        -> std::optional<scenario_claim> {
+        // The idle period starts short and doubles up to one heartbeat, so
+        // a peer's last row is seen within about the time already waited.
+        double idle_backoff = 0.01; // seconds
+        while (true) {
+            const queue_pick pick =
+                pick_next(queue, leases_path, holder, own_host,
+                          options.lease_expiry_seconds);
+            if (meter != nullptr)
+                meter->set_queue_view(pick.done, pick.leased_out, stats.stolen,
+                                      stats.re_leased);
+            if (pick.decision == queue_pick::kind::all_done)
+                return std::nullopt;
+            if (pick.decision == queue_pick::kind::lease) {
+                ++stats.leased;
+                if (pick.re_lease) ++stats.re_leased;
+                stealing = pick.re_lease && pick.prior_first != kNoHolder &&
+                           pick.prior_first != holder;
+                return scenario_claim{pick.index, 0, tag,
+                                      pick.re_lease ? "  (re-leased)" : ""};
+            }
             // Live peers hold everything that is left; idle and look again
-            // (a peer finishing or dying changes the answer). The idle
-            // period starts short and doubles up to one heartbeat, so a
-            // peer's last row is seen within about the time already waited.
+            // (a peer finishing or dying changes the answer).
             std::this_thread::sleep_for(std::chrono::duration<double>(
                 std::min(options.lease_heartbeat_seconds, idle_backoff)));
             idle_backoff *= 2.0;
-            continue;
         }
-        idle_backoff = kFirstIdleBackoff;
+    };
+    feed.finish = [&](const scenario_claim& claimed,
+                      const scenario_result& row, bool resumed) {
+        write_row_file(row_path(queue, claimed.index), spec, row);
+        ++stats.completed;
+        if (resumed) ++stats.resumed;
+        if (stealing) ++stats.stolen;
+    };
+    const campaign_result run =
+        run_scenario_loop(spec, scenarios, options, feed, hooks);
 
-        const std::int64_t index = pick.index;
-        const scenario_spec& scenario =
-            scenarios[static_cast<std::size_t>(index)];
-        ++result.queue.leased;
-        if (pick.re_lease) ++result.queue.re_leased;
-
-        if (!sidecar_path.empty())
-            cache.load_lambda_sidecar(sidecar_path);
-
-        scenario_checkpointing checkpointing;
-        checkpointing.every = options.checkpoint_every;
-        checkpointing.dir = options.checkpoint_dir;
-        checkpointing.spec_hash = campaign_hash;
-        if (hooks.after_checkpoint)
-            checkpointing.after_checkpoint = [&hooks,
-                                              index](std::int64_t round) {
-                hooks.after_checkpoint(index, round);
-            };
-
-        // A prior holder's newest valid snapshot turns a re-run into a
-        // tail-run; the resumed series is byte-identical to the
-        // uninterrupted one, so the row file cannot tell the difference.
-        std::optional<engine_checkpoint> snapshot;
-        if (with_checkpoints)
-            snapshot = try_load_checkpoint(
-                options.checkpoint_dir, index, scenario_label(scenario),
-                campaign_hash, record_every, scenario.rng_version);
-        checkpointing.resume = snapshot ? &*snapshot : nullptr;
-        if (snapshot) ++result.queue.resumed;
-
-        scenario_result row = run_scenario(
-            scenario, index, record_every, options.series_dir,
-            engine_pool.get(), cache_ptr, scratch_ptr,
-            with_checkpoints || checkpointing.after_checkpoint
-                ? &checkpointing
-                : nullptr);
-        if (!row.error.empty() && snapshot) {
-            // A snapshot that passed the gate but failed deeper validation
-            // (or a half-written file that parsed) must cost a recompute,
-            // never an error row the unsharded run would not have.
-            checkpointing.resume = nullptr;
-            row = run_scenario(scenario, index, record_every,
-                               options.series_dir, engine_pool.get(),
-                               cache_ptr, scratch_ptr,
-                               with_checkpoints ? &checkpointing : nullptr);
-        }
-
-        write_row_file(row_path(queue, index), spec, row);
-        ++result.queue.completed;
-        if (pick.re_lease && pick.prior_first != kNoHolder &&
-            pick.prior_first != holder)
-            ++result.queue.stolen;
-
-        if (!sidecar_path.empty()) {
-            try {
-                cache.save_lambda_sidecar(sidecar_path);
-            } catch (const std::exception& failure) {
-                result.lambda_sidecar_error = failure.what();
-                if (options.progress != nullptr)
-                    *options.progress << "lambda sidecar not saved: "
-                                      << failure.what() << "\n";
-            }
-        }
-
-        if (meter)
-            meter->scenario_done(row.predicted_cost, row.wall_seconds,
-                                 !row.error.empty());
-        if (options.progress != nullptr)
-            *options.progress << "[queue " << holder << "] " << row.label
-                              << (pick.re_lease ? "  (re-leased)" : "")
-                              << (snapshot ? "  (resumed)" : "")
-                              << (row.error.empty()
-                                      ? ""
-                                      : "  ERROR: " + row.error)
-                              << "\n";
-    }
-
-    meter.reset(); // final heartbeat summary before teardown
     beats.reset();
     std::error_code hb_ec;
     std::filesystem::remove(hb_path, hb_ec); // a clean exit leaves no ghost
@@ -726,10 +579,11 @@ campaign_result run_queue_campaign(const campaign_spec& spec,
         paths.push_back(row_path(queue, index));
     campaign_result merged =
         merge_shard_csv(spec, paths, options.record_every);
-    merged.queue = result.queue;
-    merged.cache = cache.stats();
-    merged.lambda_sidecar_loaded = result.lambda_sidecar_loaded;
-    merged.lambda_sidecar_error = result.lambda_sidecar_error;
+    merged.queue = stats;
+    merged.queue.queue_mode = true;
+    merged.cache = run.cache;
+    merged.lambda_sidecar_loaded = run.lambda_sidecar_loaded;
+    merged.lambda_sidecar_error = run.lambda_sidecar_error;
     merged.wall_seconds = watch.seconds();
     return merged;
 }

@@ -12,6 +12,7 @@
 #include "obs/obs.hpp"
 #include "sim/initial_load.hpp"
 #include "util/csv.hpp" // format_double
+#include "util/parse.hpp" // hex64
 
 namespace dlb {
 
@@ -43,8 +44,8 @@ void validate_resume(const experiment_config& config,
     if (checkpoint.spec_hash != config.checkpoint_spec_hash)
         throw std::invalid_argument(
             "resume: spec_hash mismatch: checkpoint was taken under " +
-            std::to_string(checkpoint.spec_hash) + " but this run expects " +
-            std::to_string(config.checkpoint_spec_hash));
+            hex64(checkpoint.spec_hash) + " but this run expects " +
+            hex64(config.checkpoint_spec_hash));
     if (checkpoint.seed != config.seed)
         throw std::invalid_argument(
             "resume: seed mismatch: checkpoint has " +

@@ -58,4 +58,15 @@ double parse_full_double(const std::string& value, const std::string& context)
     return parsed;
 }
 
+std::string hex64(std::uint64_t value)
+{
+    static const char digits[] = "0123456789abcdef";
+    std::string out(16, '0');
+    for (int i = 15; i >= 0; --i) {
+        out[static_cast<std::size_t>(i)] = digits[value & 0xf];
+        value >>= 4;
+    }
+    return out;
+}
+
 } // namespace dlb

@@ -1,5 +1,6 @@
 // Full-token numeric parsing, shared by every surface that turns user
-// strings into numbers (CLI flags, spec files, sweep axis values).
+// strings into numbers (CLI flags, spec files, sweep axis values), and the
+// one printed form of 64-bit hashes.
 //
 // The entire token must parse — trailing garbage ("100x"), an empty
 // string, or out-of-range magnitudes are errors, never a silent prefix
@@ -29,6 +30,11 @@ std::uint64_t parse_full_uint64(const std::string& value,
 /// Parses a double from the whole of `value` (NaN/inf spellings parse;
 /// callers with finiteness requirements check after).
 double parse_full_double(const std::string& value, const std::string& context);
+
+/// `value` as 16 lowercase hex digits: how spec hashes print everywhere
+/// (snapshot gates, the runner's resume check, queue meta, manifests), so
+/// one mismatch reads the same wherever it is caught.
+std::string hex64(std::uint64_t value);
 
 } // namespace dlb
 

@@ -18,6 +18,14 @@ namespace {
 
 using namespace dlb::campaign;
 
+// One scenario through the campaign driver, recording every round.
+scenario_result run_one(const scenario_spec& spec)
+{
+    campaign_options options;
+    options.record_every = 1;
+    return run_scenarios("one", {spec}, options).scenarios.at(0);
+}
+
 TEST(CampaignSpec, FieldRoundTripForEveryField)
 {
     scenario_spec spec;
@@ -62,13 +70,13 @@ TEST(CampaignSpec, RngVersionValidatesEagerly)
     }
     EXPECT_EQ(spec.rng_version, 1); // failed sets leave the spec untouched
 
-    // Programmatic specs bypass set_field; run_scenario re-validates and
-    // reports the error in the result row instead of throwing.
+    // Programmatic specs bypass set_field; scenario resolution re-validates
+    // and reports the error in the result row instead of throwing.
     scenario_spec bad_spec;
     bad_spec.nodes = 16;
     bad_spec.rounds = 5;
     bad_spec.rng_version = 3;
-    const auto result = run_scenario(bad_spec, 0, 1);
+    const auto result = run_one(bad_spec);
     EXPECT_NE(result.error.find("rng_version"), std::string::npos)
         << result.error;
 }
@@ -241,7 +249,7 @@ TEST(CampaignExecutor, ScenarioErrorIsCapturedNotThrown)
 {
     scenario_spec spec;
     spec.topology = "no_such_family";
-    const auto result = run_scenario(spec, 0, 1);
+    const auto result = run_one(spec);
     EXPECT_FALSE(result.error.empty());
 }
 
@@ -253,9 +261,9 @@ TEST(CampaignExecutor, SingleScenarioSummaries)
     spec.scheme = "sos";
     spec.rounds = 400;
     spec.tokens_per_node = 100;
-    const auto result = run_scenario(spec, 3, 1);
+    const auto result = run_one(spec);
     ASSERT_TRUE(result.error.empty()) << result.error;
-    EXPECT_EQ(result.index, 3);
+    EXPECT_EQ(result.index, 0);
     EXPECT_EQ(result.nodes, 36);
     EXPECT_GT(result.beta, 1.0);
     EXPECT_GE(result.lambda, 0.0);

@@ -1,7 +1,8 @@
 // Sharded campaign execution and resource reuse: shard + merge reports must
-// be byte-identical to the unsharded run, and graph-cache / scratch-pool
-// runs byte-identical to cold-build runs — the contracts behind splitting a
-// 2^20-node discrepancy sweep across machines (specs/) and reassembling one
+// be byte-identical to the unsharded run, reports must not depend on how
+// many workers share caches and scratch pools, and a cached graph must be
+// the graph build_topology makes — the contracts behind splitting a 2^20-
+// node discrepancy sweep across machines (specs/) and reassembling one
 // canonical report.
 #include <gtest/gtest.h>
 
@@ -11,6 +12,7 @@
 
 #include "campaign/campaign_executor.hpp"
 #include "campaign/graph_cache.hpp"
+#include "campaign/registry.hpp"
 #include "campaign/report.hpp"
 #include "campaign/spec.hpp"
 #include "core/scratch.hpp"
@@ -332,20 +334,59 @@ TEST(ShardSpec, ParseShardFailuresNameTheFlag)
     EXPECT_EQ(parse_shard("1 / 4").count, 4);
 }
 
-TEST(ResourceReuse, WarmRunsAreByteIdenticalToColdRuns)
+// One worker runs every scenario through one graph cache and one scratch
+// pool; four workers split the scenarios across four pools. Reports match.
+TEST(ResourceReuse, OneAndFourWorkersAreByteIdentical)
 {
     const campaign_spec spec = shard_spec();
 
-    campaign_options cold;
-    cold.reuse_graphs = false;
-    cold.pool_scratch = false;
-    campaign_options warm; // both reuses on by default
-    warm.threads = 4;      // and across the thread axis for good measure
+    campaign_options one;
+    campaign_options four;
+    four.threads = 4;
 
-    const auto a = run_campaign(spec, cold);
-    const auto b = run_campaign(spec, warm);
+    const auto a = run_campaign(spec, one);
+    const auto b = run_campaign(spec, four);
     EXPECT_EQ(csv_of(a), csv_of(b));
     EXPECT_EQ(json_of(a), json_of(b));
+}
+
+// Scenarios resolve their topology only through the cache, so a cached
+// graph must be the very graph build_topology makes from the scenario's
+// inputs: same CSR offsets, heads and twins, for every registry family and,
+// for seed-dependent families, at each seed.
+TEST(GraphCache, GetEqualsBuildTopologyForEveryFamily)
+{
+    graph_cache cache;
+    bool saw_seeded_family = false;
+    for (const std::string& family : topology_names()) {
+        const std::uint64_t seeds[] = {1, 2};
+        for (const std::uint64_t seed : seeds) {
+            const auto cached = cache.get(family, 64, 0.0, seed);
+            const graph built =
+                build_topology(family, 64, 0.0, topology_seed(seed));
+            const std::string label = family + " seed " + std::to_string(seed);
+            ASSERT_EQ(cached->num_nodes(), built.num_nodes()) << label;
+            ASSERT_EQ(cached->num_half_edges(), built.num_half_edges())
+                << label;
+            for (node_id v = 0; v < built.num_nodes(); ++v) {
+                ASSERT_EQ(cached->half_edge_begin(v), built.half_edge_begin(v))
+                    << label << " offset " << v;
+                ASSERT_EQ(cached->half_edge_end(v), built.half_edge_end(v))
+                    << label << " offset " << v + 1;
+            }
+            for (half_edge_id h = 0; h < built.num_half_edges(); ++h) {
+                ASSERT_EQ(cached->head(h), built.head(h)) << label << " h " << h;
+                ASSERT_EQ(cached->twin(h), built.twin(h)) << label << " h " << h;
+            }
+        }
+        if (topology_uses_seed(family)) {
+            saw_seeded_family = true;
+            EXPECT_NE(cache.get(family, 64, 0.0, 1),
+                      cache.get(family, 64, 0.0, 2))
+                << family;
+        }
+    }
+    EXPECT_TRUE(saw_seeded_family);
 }
 
 TEST(GraphCache, SharesAcrossSeedsOnlyWhenSeedIndependent)

@@ -47,6 +47,7 @@
 #include "graph/generators.hpp"
 #include "sim/initial_load.hpp"
 #include "sim/runner.hpp"
+#include "util/parse.hpp"
 
 namespace dlb {
 namespace {
@@ -408,6 +409,7 @@ TEST(CheckpointResumeValidation, MismatchesThrowNamingTheField)
         experiment_config bad = base;
         bad.checkpoint_spec_hash = 123;
         expect_contains(message_for(bad), "spec_hash");
+        expect_contains(message_for(bad), hex64(123));
     }
     {
         experiment_config bad = base;
@@ -547,6 +549,80 @@ TEST_F(CheckpointTest, CampaignResumeRejectsScenarioOutsideShard)
     resume.shard_count = 2;
     expect_contains(thrown_message([&] { run_campaign(spec, resume); }),
                     "shard");
+}
+
+// The one snapshot gate, fed each campaign-level mismatch. --resume and
+// measure_windows both refuse it naming the field, in the same words after
+// their own prefix. Windows adopt the snapshot's stride and belong to no
+// shard, so the record_every and shard rows reach --resume only.
+TEST_F(CheckpointTest, SnapshotGateRefusesEachMismatchNamingTheField)
+{
+    campaign_spec spec = checkpoint_spec();
+    spec.axes["seed"] = {"1", "2"};
+    campaign_options with_snapshots;
+    with_snapshots.checkpoint_every = 40;
+    with_snapshots.checkpoint_dir = dir_;
+    with_snapshots.record_every = 1;
+    run_campaign(spec, with_snapshots);
+    const engine_checkpoint genuine = read_checkpoint_file(snapshot_path(spec));
+
+    struct mismatch {
+        const char* field;
+        void (*forge)(engine_checkpoint&, campaign_options&);
+        bool reaches_windows;
+    };
+    const mismatch table[] = {
+        {"spec_hash",
+         [](engine_checkpoint& s, campaign_options&) { s.spec_hash ^= 1; },
+         true},
+        {"scenario index",
+         [](engine_checkpoint& s, campaign_options&) { s.scenario_index = 7; },
+         true},
+        {"rng_version",
+         [](engine_checkpoint& s, campaign_options&) {
+             s.rng_version = 2;
+             s.rng_check = checkpoint_rng_check(2, s.seed, s.round);
+         },
+         true},
+        {"record_every",
+         [](engine_checkpoint&, campaign_options& o) { o.record_every = 5; },
+         false},
+        {"shard",
+         [](engine_checkpoint&, campaign_options& o) {
+             o.shard_index = 1; // scenario 0 is round-robin shard 0's
+             o.shard_count = 2;
+         },
+         false},
+    };
+    measure_windows_options windows;
+    windows.windows = 2;
+    windows.window_rounds = 5;
+    for (const mismatch& row : table) {
+        engine_checkpoint forged = genuine;
+        campaign_options resume;
+        resume.record_every = 1;
+        row.forge(forged, resume);
+        resume.resume_path = dir_ + "/forged.ckpt";
+        write_checkpoint_file(resume.resume_path, forged);
+
+        const std::string resumed =
+            thrown_message([&] { run_campaign(spec, resume); });
+        SCOPED_TRACE(row.field);
+        expect_contains(resumed, "resume: " + resume.resume_path + ": ");
+        expect_contains(resumed, row.field);
+        if (!row.reaches_windows) continue;
+        const std::string windowed =
+            thrown_message([&] { measure_windows(spec, forged, windows); });
+        expect_contains(windowed, std::string("measure_windows: ") + row.field);
+        EXPECT_EQ(resumed.substr(resumed.find(row.field)),
+                  windowed.substr(windowed.find(row.field)));
+    }
+    // Hashes print as 16 hex digits at every gate, the runner's included.
+    engine_checkpoint forged = genuine;
+    forged.spec_hash = 0x7b;
+    expect_contains(
+        thrown_message([&] { measure_windows(spec, forged, windows); }),
+        "000000000000007b");
 }
 
 TEST_F(CheckpointTest, CheckpointKnobsMustBeSetTogether)

@@ -17,10 +17,15 @@
 //     engines, all four roundings, both negative-load policies, and a
 //     hybrid-switch Chebyshev long run (>= 4000 rounds, which is only
 //     affordable because the engines carry the omega recurrence in O(1)).
+//
+//  3. Engine output is independent of buffer reuse: one engine_scratch
+//     serving a large run and then a smaller one yields the same series and
+//     final load as fresh allocation, on all three engines.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "campaign/workload.hpp"
@@ -32,6 +37,7 @@
 #include "core/process.hpp"
 #include "core/rounding.hpp"
 #include "core/scheme.hpp"
+#include "core/scratch.hpp"
 #include "graph/generators.hpp"
 #include "sim/initial_load.hpp"
 #include "sim/runner.hpp"
@@ -582,6 +588,51 @@ TEST(GoldenDeterminism, HybridChebyshevLongRunByteIdentical)
         expect_series_identical(serial, run_experiment(config, initial),
                                 "hybrid-chebyshev workers=" +
                                     std::to_string(workers));
+    }
+}
+
+// A campaign worker lends one scratch pool to every scenario it runs, so a
+// small scenario inherits a larger one's released (longer) buffers. Reused
+// capacity must come back zeroed and sized to the new graph: the large and
+// then the smaller run each match a fresh-allocation run byte for byte.
+TEST(GoldenDeterminism, ScratchReuseAcrossSizesMatchesFreshAllocation)
+{
+    const graph large = make_torus_2d(12, 12);
+    const graph small = make_hypercube(5);
+    const std::pair<process_kind, const char*> engines[] = {
+        {process_kind::discrete, "discrete"},
+        {process_kind::continuous, "continuous"},
+        {process_kind::cumulative, "cumulative"}};
+    for (const auto& [process, name] : engines) {
+        engine_scratch scratch;
+        for (const graph* g : {&large, &small}) {
+            experiment_config config;
+            config.diffusion = {
+                g, make_alpha(*g, alpha_policy::max_degree_plus_one),
+                speed_profile::uniform(g->num_nodes()), sos_scheme(1.6)};
+            config.process = process;
+            config.rounding = rounding_kind::randomized;
+            config.seed = 21;
+            config.rounds = 60;
+            config.record_every = 3;
+            const auto initial =
+                random_load(g->num_nodes(), 100 * g->num_nodes(), 5);
+            const std::string label =
+                std::string(name) + " n=" + std::to_string(g->num_nodes());
+
+            config.scratch = nullptr;
+            const experiment_outcome fresh =
+                run_experiment_with_final_load(config, initial);
+            config.scratch = &scratch;
+            const experiment_outcome pooled =
+                run_experiment_with_final_load(config, initial);
+            expect_series_identical(fresh.series, pooled.series, label);
+            EXPECT_EQ(fresh.final_load, pooled.final_load) << label;
+            EXPECT_TRUE(bytes_equal(fresh.final_load_continuous,
+                                    pooled.final_load_continuous))
+                << label;
+        }
+        EXPECT_GT(scratch.pooled_count(), 0u) << name;
     }
 }
 

@@ -266,6 +266,65 @@ TEST_F(OrchestratorTest, SnapshotUnderAStaleSchemeIsRecomputedNotResumed)
     EXPECT_EQ(json_of(queued), json_of(baseline));
 }
 
+// The queue's side of the one snapshot gate: a re-leased scenario's own
+// snapshot that does not match the campaign (spec_hash, a scenario index
+// outside the expansion or not the lease's, rng_version, record_every) is
+// never resumed — the worker recomputes, and the merged report still
+// matches the unsharded run byte for byte. The control row resumes.
+TEST_F(OrchestratorTest, MismatchedOwnSnapshotsAreRecomputed)
+{
+    campaign_spec spec = queue_spec();
+    spec.axes.erase("topology");
+    spec.axes.erase("scheme");
+    spec.base.load_pattern = "random";
+    campaign_options direct;
+    direct.checkpoint_every = 16;
+    direct.checkpoint_dir = ckpt_;
+    const campaign_result baseline = run_campaign(spec, direct);
+    ASSERT_EQ(baseline.scenarios.size(), 2u);
+    const std::string path =
+        ckpt_ + "/0_" + baseline.scenarios[0].label + ".ckpt";
+    const engine_checkpoint genuine = read_checkpoint_file(path);
+
+    struct mismatch {
+        const char* field;
+        void (*forge)(engine_checkpoint&);
+        std::int64_t resumed;
+    };
+    const mismatch table[] = {
+        {"none (control)", [](engine_checkpoint&) {}, 1},
+        {"spec_hash", [](engine_checkpoint& s) { s.spec_hash ^= 1; }, 0},
+        {"index out of range",
+         [](engine_checkpoint& s) { s.scenario_index = 7; }, 0},
+        {"index of another lease",
+         [](engine_checkpoint& s) { s.scenario_index = 1; }, 0},
+        {"rng_version",
+         [](engine_checkpoint& s) {
+             s.rng_version = 2;
+             s.rng_check = checkpoint_rng_check(2, s.seed, s.round);
+         },
+         0},
+        {"record_every", [](engine_checkpoint& s) { s.record_every = 2; }, 0},
+    };
+    for (const mismatch& row : table) {
+        SCOPED_TRACE(row.field);
+        std::filesystem::remove_all(queue_);
+        std::filesystem::remove_all(ckpt_);
+        std::filesystem::create_directories(ckpt_);
+        engine_checkpoint forged = genuine;
+        row.forge(forged);
+        write_checkpoint_file(path, forged);
+
+        campaign_options options = queue_options();
+        options.checkpoint_every = 16;
+        options.checkpoint_dir = ckpt_;
+        const campaign_result queued = run_queue_campaign(spec, options);
+        EXPECT_EQ(queued.queue.resumed, row.resumed);
+        EXPECT_EQ(csv_of(queued), csv_of(baseline));
+        EXPECT_EQ(json_of(queued), json_of(baseline));
+    }
+}
+
 // At the library-default one-second heartbeat, a worker idling on a peer's
 // last lease sees the row land within about the time it has already waited
 // (its poll backoff starts at 10 ms), not a whole heartbeat period later.
