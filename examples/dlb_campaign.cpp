@@ -79,8 +79,10 @@ void print_usage(std::ostream& out)
            "                         valid checkpoint when --checkpoint-dir\n"
            "                         is shared), and each writes the full\n"
            "                         merged report — byte-identical to an\n"
-           "                         unsharded run. Exclusive with --shard,\n"
-           "                         --merge and --resume\n"
+           "                         unsharded run. One worker per process\n"
+           "                         (--threads other than 1 is rejected).\n"
+           "                         Exclusive with --shard, --merge and\n"
+           "                         --resume\n"
            "  --lease-expiry SECS    queue mode: a cross-host worker whose\n"
            "                         heartbeat is older than SECS is treated\n"
            "                         as dead and its lease re-assigned\n"
@@ -111,7 +113,9 @@ void print_usage(std::ostream& out)
            "                         rest re-seed) and report mean/stddev/\n"
            "                         95% CI of the sampled discrepancy;\n"
            "                         --csv/--json then write the windows\n"
-           "                         report. Requires --window-rounds\n"
+           "                         report. Requires --window-rounds;\n"
+           "                         rejects --series-dir, --lambda-cache\n"
+           "                         and --record-every\n"
            "  --window-rounds W      rounds per measured window (>= 1)\n"
            "  --threads N            parallel scenario workers (0: hardware).\n"
            "                         Fans whole scenarios out; use it when a\n"
@@ -428,6 +432,14 @@ int main(int argc, char** argv)
             if (args.has("manifest") || args.has("manifests"))
                 throw std::invalid_argument(
                     "--measure-windows does not write campaign manifests");
+            // The windows run on the snapshot's own stride, write only the
+            // windows report and resolve no lambda through a sidecar.
+            for (const char* flag : {"series-dir", "lambda-cache", "record-every"})
+                if (args.has(flag))
+                    throw std::invalid_argument(
+                        std::string("--measure-windows and --") + flag +
+                        " are exclusive: windows sample at the snapshot's "
+                        "stride and write only the windows report");
             if (!args.has("resume"))
                 throw std::invalid_argument(
                     "--measure-windows needs --resume FILE (the snapshot "
@@ -560,6 +572,11 @@ int main(int argc, char** argv)
                         "--queue and --resume are exclusive: queue workers "
                         "resume from the shared --checkpoint-dir "
                         "automatically");
+                if (args.has("threads") && threads != 1)
+                    throw std::invalid_argument(
+                        "--queue runs one lease worker per process, so "
+                        "--threads must be 1 there; start more processes on "
+                        "the same queue directory instead");
                 options.queue_dir = args.get_string("queue", "");
                 if (options.queue_dir.empty())
                     throw std::invalid_argument(

@@ -1,8 +1,10 @@
 #include "core/process.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 
 #include "obs/obs.hpp"
 
@@ -44,12 +46,21 @@ void validate_config(const diffusion_config& config, std::size_t load_size)
 {
     if (config.network == nullptr)
         throw std::invalid_argument("process: null network");
-    if (config.alpha.size() !=
-        static_cast<std::size_t>(config.network->num_half_edges()))
+    const graph& g = *config.network;
+    if (config.alpha.size() != static_cast<std::size_t>(g.num_half_edges()))
         throw std::invalid_argument("process: alpha size mismatch");
-    if (config.speeds.size() != config.network->num_nodes())
+    // The node-local flow rule is exactly antisymmetric only for a
+    // bitwise-symmetric alpha (same bits on both half-edges of an edge).
+    for (half_edge_id h = 0; h < g.num_half_edges(); ++h)
+        if (std::bit_cast<std::uint64_t>(config.alpha[h]) !=
+            std::bit_cast<std::uint64_t>(config.alpha[g.twin(h)]))
+            throw std::invalid_argument(
+                "process: alpha is not symmetric at half-edge " +
+                std::to_string(h) + ": alpha[" + std::to_string(h) +
+                "] != alpha[" + std::to_string(g.twin(h)) + "] (its twin)");
+    if (config.speeds.size() != g.num_nodes())
         throw std::invalid_argument("process: speeds size mismatch");
-    if (load_size != static_cast<std::size_t>(config.network->num_nodes()))
+    if (load_size != static_cast<std::size_t>(g.num_nodes()))
         throw std::invalid_argument("process: initial load size mismatch");
     validate_scheme(config.scheme);
 }
@@ -193,7 +204,6 @@ discrete_process::discrete_process(diffusion_config config,
     load_ = scratch_int(scratch_, initial_load.size());
     std::copy(initial_load.begin(), initial_load.end(), load_.begin());
     load_over_speed_ = scratch_real(scratch_, load_.size());
-    scheduled_ = scratch_real(scratch_, half_edges);
     flows_ = scratch_int(scratch_, half_edges);
     previous_flows_int_ = scratch_int(scratch_, half_edges);
     beta_state_.reset(config_.scheme);
@@ -205,7 +215,6 @@ discrete_process::~discrete_process()
     if (scratch_ == nullptr) return;
     scratch_->release(std::move(load_));
     scratch_->release(std::move(load_over_speed_));
-    scratch_->release(std::move(scheduled_));
     scratch_->release(std::move(flows_));
     scratch_->release(std::move(previous_flows_int_));
 }
@@ -256,73 +265,33 @@ void discrete_process::step()
                         static_cast<double>(load_[v]) / config_.speeds.speed(v);
             });
         }
-
-        // Yhat(t) = C(x^D(t), y^D(t-1))  — the continuous scheduled load. The
-        // integer overload casts previous flows in place (exact), so no double
-        // copy of the flow state is ever materialized.
-        scheduled_flows(g, config_.alpha, config_.scheme, rounds_in_scheme_,
-                        beta_state_.next(), load_over_speed_,
-                        std::span<const std::int64_t>(previous_flows_int_),
-                        scheduled_, *exec_);
     }
 
     {
         obs::phase_scope phase("engine", "rounding", &em.rounding_ns);
 
-        // Randomized rounding runs the owner pass alone — the mirror is folded
-        // into the apply sweep below, which derives every incoming flow from
-        // its owner; the other roundings mirror inside round_flows (floor and
-        // nearest in the same fused sweep) and the apply derivation is then a
-        // no-op re-read of the mirrored value.
-        if (rounding_ == rounding_kind::randomized)
-            round_flows_randomized_owner(g, scheduled_, seed_, round_, flows_,
-                                         *exec_, rng_);
-        else
-            round_flows(g, rounding_, scheduled_, seed_, round_, flows_, *exec_,
-                        rng_);
-    }
-
-    obs::phase_scope apply_phase("engine", "apply", &em.apply_ns);
-    if (policy_ == negative_load_policy::prevent) {
-        // Detect and clip over-committed nodes in parallel: each node owns
-        // its outgoing (positive-scheduled) half-edges, so the clip writes
-        // are disjoint, and the apply sweep below re-derives every incoming
-        // flow from its (possibly clipped) owner — no antisymmetry-repair
-        // rescan is needed at all.
-        const std::int64_t clipped = exec_->parallel_reduce(
-            static_cast<std::int64_t>(g.num_nodes()), std::int64_t{0},
-            [&](std::int64_t begin, std::int64_t end) {
-                std::int64_t tokens = 0;
-                for (node_id v = static_cast<node_id>(begin); v < end; ++v) {
-                    std::int64_t positive_out = 0;
-                    for (half_edge_id h = g.half_edge_begin(v);
-                         h < g.half_edge_end(v); ++h)
-                        if (flows_[h] > 0) positive_out += flows_[h];
-                    const std::int64_t available =
-                        std::max<std::int64_t>(load_[v], 0);
-                    if (positive_out <= available) continue;
-                    std::int64_t remaining = available;
-                    for (half_edge_id h = g.half_edge_begin(v);
-                         h < g.half_edge_end(v); ++h) {
-                        if (flows_[h] <= 0) continue;
-                        const std::int64_t keep = std::min(flows_[h], remaining);
-                        tokens += flows_[h] - keep;
-                        flows_[h] = keep;
-                        remaining -= keep;
-                    }
-                }
-                return tokens;
-            },
-            [](std::int64_t acc, std::int64_t part) { return acc + part; });
-        clipped_tokens_ += clipped;
+        // The owner pass: each node computes Yhat(t) = C(x^D(t), y^D(t-1))
+        // for its own slice (previous integer flows cast exactly) and
+        // rounds it at once; only its outgoing half-edges get a flow, every
+        // other half-edge 0. Under prevent the clip runs in the same pass —
+        // each node clips only its own outgoing half-edges.
+        const flow_rule<std::int64_t> rule = bind_flow_rule<std::int64_t>(
+            g, config_.alpha, config_.scheme, rounds_in_scheme_,
+            beta_state_.next(), load_over_speed_, previous_flows_int_);
+        clipped_tokens_ += round_owner_pass(
+            g, rule, rounding_, seed_, round_, rng_,
+            policy_ == negative_load_policy::prevent
+                ? std::span<const std::int64_t>(load_)
+                : std::span<const std::int64_t>(),
+            flows_, *exec_);
     }
 
     // Apply; track the transient state x-breve (all sends out, nothing
-    // received yet). Each half-edge's final flow is its owner's value —
-    // negated on the incoming side — which folds the mirror into the sweep
-    // (flows_ is read-only here, so the twin gathers race with nothing);
-    // the per-round result lands directly in previous_flows_int_, and the
-    // negative-load min-scan is fused in as well.
+    // received yet). Exactly one side of each edge holds its rounded flow,
+    // so y[h] = flows[h] - flows[twin(h)] (flows_ is read-only here, so the
+    // twin gathers race with nothing); the per-round result lands directly
+    // in previous_flows_int_, and the negative-load min-scan is fused in.
+    obs::phase_scope apply_phase("engine", "apply", &em.apply_ns);
     const load_minima minima = exec_->parallel_reduce(
         g.num_nodes(), load_minima{},
         [&](std::int64_t begin, std::int64_t end) {
@@ -332,9 +301,7 @@ void discrete_process::step()
                 std::int64_t positive_out = 0;
                 for (half_edge_id h = g.half_edge_begin(v); h < g.half_edge_end(v);
                      ++h) {
-                    const std::int64_t f = scheduled_[h] < 0.0
-                                               ? -flows_[g.twin(h)]
-                                               : flows_[h];
+                    const std::int64_t f = flows_[h] - flows_[g.twin(h)];
                     previous_flows_int_[h] = f;
                     net_out += f;
                     if (f > 0) positive_out += f;

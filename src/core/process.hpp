@@ -2,9 +2,10 @@
 //
 // `continuous_process` runs the idealized scheme C on double loads
 // (arbitrarily divisible load, paper Section II). `discrete_process` runs
-// the discrete version D = R(C) on int64 token counts: each round it asks
-// the continuous rule for the scheduled flows Yhat(t) = C(x^D(t), y^D(t-1))
-// and rounds them with the configured scheme (paper Definition 1).
+// the discrete version D = R(C) on int64 token counts: each round every
+// node evaluates the continuous rule for its scheduled flows
+// Yhat(t) = C(x^D(t), y^D(t-1)) and rounds them with the configured scheme
+// in the same pass (paper Definition 1); Yhat is never stored.
 //
 // Both engines track the negative-load instrumentation of Section V: the
 // end-of-round minimum load and the *transient* minimum — the load after
@@ -34,7 +35,7 @@ struct discrete_engine_state;   // core/checkpoint.hpp
 /// The graph must outlive any engine constructed from this config.
 struct diffusion_config {
     const graph* network = nullptr;
-    std::vector<double> alpha; // per half-edge, symmetric
+    std::vector<double> alpha; // per half-edge, bitwise symmetric (validated)
     speed_profile speeds;
     scheme_params scheme;
 };
@@ -177,10 +178,6 @@ public:
 
     void set_scheme(scheme_params scheme);
 
-    /// The last round's scheduled (continuous) flows; introspection for
-    /// deviation analyses and tests.
-    std::span<const double> last_scheduled_flows() const noexcept { return scheduled_; }
-
     /// Checkpoint support (core/checkpoint.hpp): capture / reinstate the
     /// evolving engine state. restore validates shapes and scheme and
     /// throws std::invalid_argument on mismatch; seed, rounding, policy and
@@ -198,8 +195,7 @@ private:
     negative_load_policy policy_;
     aligned_vector<std::int64_t> load_;
     aligned_vector<double> load_over_speed_;
-    aligned_vector<double> scheduled_;
-    aligned_vector<std::int64_t> flows_;
+    aligned_vector<std::int64_t> flows_; // owner sides only, 0 elsewhere
     aligned_vector<std::int64_t> previous_flows_int_;
     std::int64_t round_ = 0;
     std::int64_t rounds_in_scheme_ = 0;

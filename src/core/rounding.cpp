@@ -13,9 +13,8 @@ namespace dlb {
 namespace {
 
 // Half-edges processed per rounding kernel: with the engine's round counter
-// and a trace this gives per-kernel edges/s. randomized is counted inside
-// round_flows_randomized_owner (the entry point both round_flows and the
-// discrete engine use), the rest in round_flows.
+// and a trace this gives per-kernel edges/s. Counted in the owner sweep,
+// which both round_flows and the discrete engine run.
 obs::counter& kernel_counter(rounding_kind kind)
 {
     static obs::counter& randomized =
@@ -50,43 +49,46 @@ std::string_view to_string(rounding_kind kind) noexcept
 
 namespace {
 
+// Every per-node kernel below rounds one node's outgoing flows: yhat[j] is
+// Yhat on half-edge half_edge_begin(v) + j and out[j] receives its integer
+// flow — the rounded value where yhat[j] > 0, 0 everywhere else.
+// StaticDegree != 0 instantiates a kernel for that exact degree, fully
+// unrolling its short loops (the owner sweep's degree-4 fast path); 0 is
+// the dynamic-degree body. The degree only changes trip counts, never the
+// order of any floating-point operation, so both give identical results.
+
 /// Cold path of the inverse-CDF walk: an exact-zero target starts
 /// non-positive before any subtraction and, like the early-exit walk,
 /// lands on the first fractional edge (one exists whenever the caller's
 /// excess is positive). Out of line so the hot walk stays compact.
-[[gnu::noinline]] void credit_first_fractional(std::span<const double> fractions,
-                                               std::span<std::int64_t> flows_out,
-                                               half_edge_id begin)
+[[gnu::noinline]] void credit_first_fractional(const double* fractions,
+                                               std::int64_t* out)
 {
     std::int32_t first_fractional = 0;
     while (fractions[first_fractional] <= 0.0) ++first_fractional;
-    flows_out[begin + first_fractional] += 1;
+    out[first_fractional] += 1;
 }
 
-/// Pass 1 of the owner sweep, shared bit-for-bit by both stream formats:
-/// floor all outgoing flows (zeroing the rest), accumulate the excess mass
-/// r, and cache the fractional parts slice-aligned. The gate multiply
-/// keeps the loop free of data-dependent branches: x * 1.0 == x and
-/// (nonnegative) * 0.0 == +0.0 exactly, so outgoing edges contribute
-/// bit-identically to the original guarded sum and the rest contribute an
-/// exact 0.0.
+/// Pass 1 of the v1 owner kernel: floor all outgoing flows (zeroing the
+/// rest), accumulate the excess mass r, and cache the fractional parts
+/// slice-aligned. The gate multiply keeps the loop free of data-dependent
+/// branches: x * 1.0 == x and (nonnegative) * 0.0 == +0.0 exactly, so
+/// outgoing edges contribute bit-identically to the original guarded sum
+/// and the rest contribute an exact 0.0.
 struct owner_floor_pass {
     double excess = 0.0;
     std::int32_t last_fractional = 0;
 };
 
-inline owner_floor_pass floor_outgoing(std::span<const double> scheduled,
-                                       std::span<std::int64_t> flows_out,
-                                       half_edge_id begin, std::int32_t degree,
-                                       std::span<double> fractions)
+inline owner_floor_pass floor_outgoing(const double* yhat, std::int64_t* out,
+                                       std::int32_t degree, double* fractions)
 {
     owner_floor_pass pass;
     for (std::int32_t j = 0; j < degree; ++j) {
-        const double yhat = scheduled[begin + j];
-        const double gate = yhat > 0.0 ? 1.0 : 0.0;
-        const double magnitude = std::fabs(yhat);
+        const double gate = yhat[j] > 0.0 ? 1.0 : 0.0;
+        const double magnitude = std::fabs(yhat[j]);
         const double floored = std::floor(magnitude);
-        flows_out[begin + j] = static_cast<std::int64_t>(floored * gate);
+        out[j] = static_cast<std::int64_t>(floored * gate);
         const double fraction = (magnitude - floored) * gate;
         pass.excess += fraction;
         fractions[j] = fraction;
@@ -95,20 +97,19 @@ inline owner_floor_pass floor_outgoing(std::span<const double> scheduled,
     return pass;
 }
 
-/// The shared inverse-CDF walk of one token: branch-free — the remainders
+/// The inverse-CDF walk of one v1 token: branch-free — the remainders
 /// decrease only at fractional slots (subtracting the cached 0.0 elsewhere
 /// is exact), so the slot where the remainder first turns non-positive —
 /// the edge the early-exit walk stopped on — is the count of positive
 /// remainders. `target` may stay positive through the whole slice due to
 /// floating-point slack, landing on the last fractional edge, preserving
 /// totals.
-inline void credit_token(std::span<const double> fractions,
-                         std::span<std::int64_t> flows_out, half_edge_id begin,
+inline void credit_token(const double* fractions, std::int64_t* out,
                          std::int32_t degree, std::int32_t last_fractional,
                          double target)
 {
     if (target <= 0.0) [[unlikely]] {
-        credit_first_fractional(fractions, flows_out, begin);
+        credit_first_fractional(fractions, out);
         return;
     }
     std::int32_t chosen = 0;
@@ -116,26 +117,23 @@ inline void credit_token(std::span<const double> fractions,
         target -= fractions[j];
         chosen += target > 0.0 ? 1 : 0;
     }
-    flows_out[begin + (chosen < degree ? chosen : last_fractional)] += 1;
+    out[chosen < degree ? chosen : last_fractional] += 1;
 }
 
 /// The paper's randomized rounding for one node's outgoing flows, v1
-/// stream format (per-(node, round) xoshiro stream).
-///
-/// The scratch span `fractions` (at least degree(v) long) lets the
-/// inverse-CDF walk run over a cached slice-aligned array instead of
-/// rescanning the adjacency slice per token. Draw sequence and results are
-/// bit-identical to the pre-canonical early-exit loop.
-void round_node_randomized(const graph& g, node_id v,
-                           std::span<const double> scheduled,
-                           std::uint64_t seed, std::int64_t round,
-                           std::span<std::int64_t> flows_out,
-                           std::span<double> fractions)
+/// stream format (per-(node, round) xoshiro stream). `fractions` (degree
+/// long) lets the inverse-CDF walk run over a cached slice-aligned array
+/// instead of rescanning the flows per token. Draw sequence and results
+/// are bit-identical to the pre-canonical early-exit loop.
+template <std::int32_t StaticDegree>
+inline void round_node_randomized(const double* yhat, std::int64_t* out,
+                                  std::int32_t dynamic_degree,
+                                  std::uint64_t seed, node_id v,
+                                  std::int64_t round, double* fractions)
 {
-    const half_edge_id begin = g.half_edge_begin(v);
-    const auto degree = static_cast<std::int32_t>(g.half_edge_end(v) - begin);
-    const auto pass = floor_outgoing(scheduled, flows_out, begin, degree,
-                                     fractions);
+    const std::int32_t degree =
+        StaticDegree != 0 ? StaticDegree : dynamic_degree;
+    const auto pass = floor_outgoing(yhat, out, degree, fractions);
     const double excess = pass.excess;
     if (excess <= 0.0) return;
 
@@ -150,7 +148,7 @@ void round_node_randomized(const graph& g, node_id v,
                           static_cast<std::uint64_t>(round));
     for (std::int64_t token = 0; token < token_count; ++token) {
         if (!rng.next_bernoulli(send_probability)) continue;
-        credit_token(fractions, flows_out, begin, degree, pass.last_fractional,
+        credit_token(fractions, out, degree, pass.last_fractional,
                      rng.next_double() * excess);
     }
 }
@@ -161,8 +159,8 @@ void round_node_randomized(const graph& g, node_id v,
 /// carried, and the per-node RNG cost is one mix64 plus one splitmix
 /// finalizer per token.
 ///
-/// The v2 pipeline restructures both passes around the new format (the
-/// frozen v1 path above is deliberately untouched):
+/// The v2 kernel restructures both passes around the new format (the
+/// frozen v1 kernel above is deliberately untouched):
 ///
 ///  * Pass 1 floors with a trunc-by-cast — exact for the nonnegative
 ///    magnitudes < 2^63 the int64 cast already requires — and caches the
@@ -180,20 +178,16 @@ void round_node_randomized(const graph& g, node_id v,
 ///    and a sent token has 0 < target < excess == prefix[degree-1], so the
 ///    chosen slot is always a fractional one.
 ///
-/// StaticDegree != 0 instantiates the node kernel for that exact degree,
-/// fully unrolling both short loops into straight-line code (worth ~1.3x
-/// alone on the 2.1 GHz Xeon this was tuned on); 0 is the generic
-/// dynamic-degree fallback. The caller dispatches, so regular and
-/// irregular graphs both get the right body — with identical results, the
-/// degree only changes trip counts. Raw restrict pointers (the spans'
-/// data) keep the compiler from re-reading across the flows stores.
+/// The unrolled degree-4 body is worth ~1.3x alone on the 2.1 GHz Xeon
+/// this was tuned on. Raw restrict pointers keep the compiler from
+/// re-reading across the flows stores.
 template <std::int32_t StaticDegree>
 [[gnu::always_inline]] inline void
-round_node_randomized_v2(const double* __restrict scheduled,
-                              std::int64_t* __restrict flows_out,
-                              half_edge_id begin, std::int32_t dynamic_degree,
-                              std::uint64_t seed, std::uint64_t node,
-                              std::int64_t round, double* __restrict prefix)
+round_node_randomized_v2(const double* __restrict yhat,
+                         std::int64_t* __restrict out,
+                         std::int32_t dynamic_degree, std::uint64_t seed,
+                         node_id v, std::int64_t round,
+                         double* __restrict prefix)
 {
     const std::int32_t degree =
         StaticDegree != 0 ? StaticDegree : dynamic_degree;
@@ -201,12 +195,11 @@ round_node_randomized_v2(const double* __restrict scheduled,
     // Pass 1: floor and accumulate the cumulative fractional mass.
     double excess = 0.0;
     for (std::int32_t j = 0; j < degree; ++j) {
-        const double yhat = scheduled[begin + j];
-        const double gate = yhat > 0.0 ? 1.0 : 0.0;
-        const double magnitude = std::fabs(yhat);
+        const double gate = yhat[j] > 0.0 ? 1.0 : 0.0;
+        const double magnitude = std::fabs(yhat[j]);
         const auto floored_int = static_cast<std::int64_t>(magnitude);
         const double floored = static_cast<double>(floored_int);
-        flows_out[begin + j] = static_cast<std::int64_t>(floored * gate);
+        out[j] = static_cast<std::int64_t>(floored * gate);
         excess += (magnitude - floored) * gate;
         prefix[j] = excess;
     }
@@ -215,8 +208,8 @@ round_node_randomized_v2(const double* __restrict scheduled,
     const double token_count_real = std::ceil(excess);
     const auto token_count = static_cast<std::int64_t>(token_count_real);
 
-    const std::uint64_t base =
-        stream_base(seed, node, static_cast<std::uint64_t>(round));
+    const std::uint64_t base = stream_base(
+        seed, static_cast<std::uint64_t>(v), static_cast<std::uint64_t>(round));
     for (std::int64_t token = 0; token < token_count; ++token) {
         const double target =
             to_unit_double(draw_at(base, static_cast<std::uint64_t>(token))) *
@@ -228,109 +221,239 @@ round_node_randomized_v2(const double* __restrict scheduled,
             // excess > 0).
             std::int32_t first_fractional = 0;
             while (prefix[first_fractional] <= 0.0) ++first_fractional;
-            flows_out[begin + first_fractional] += 1;
+            out[first_fractional] += 1;
             continue;
         }
         std::int32_t chosen = 0;
         for (std::int32_t j = 0; j < degree; ++j)
             chosen += prefix[j] < target ? 1 : 0;
-        flows_out[begin + chosen] += 1;
+        out[chosen] += 1;
     }
 }
 
-void round_node_bernoulli(const graph& g, node_id v,
-                          std::span<const double> scheduled, std::uint64_t seed,
-                          std::int64_t round, std::span<std::int64_t> flows_out)
+/// Per-edge independent rounding, v1 format: floor + Bernoulli(fractional
+/// part), one xoshiro draw per outgoing edge in slice order.
+inline void round_node_bernoulli(const double* yhat, std::int64_t* out,
+                                 std::int32_t degree, std::uint64_t seed,
+                                 node_id v, std::int64_t round)
 {
     auto rng = stream_for(seed, static_cast<std::uint64_t>(v),
                           static_cast<std::uint64_t>(round));
-    for (half_edge_id h = g.half_edge_begin(v); h < g.half_edge_end(v); ++h) {
-        const double yhat = scheduled[h];
-        if (yhat <= 0.0) {
-            flows_out[h] = 0;
+    for (std::int32_t j = 0; j < degree; ++j) {
+        if (yhat[j] <= 0.0) {
+            out[j] = 0;
             continue;
         }
-        const double floored = std::floor(yhat);
-        const double fraction = yhat - floored;
-        flows_out[h] = static_cast<std::int64_t>(floored) +
-                       (rng.next_bernoulli(fraction) ? 1 : 0);
+        const double floored = std::floor(yhat[j]);
+        const double fraction = yhat[j] - floored;
+        out[j] = static_cast<std::int64_t>(floored) +
+                 (rng.next_bernoulli(fraction) ? 1 : 0);
     }
 }
 
 /// Per-edge Bernoulli rounding under the v2 format: outgoing slot j of the
 /// node always owns draw index j, so each edge coin is a pure function of
 /// (seed, node, round, j) regardless of how many edges are outgoing.
-void round_node_bernoulli_v2(const graph& g, node_id v,
-                             std::span<const double> scheduled,
-                             std::uint64_t seed, std::int64_t round,
-                             std::span<std::int64_t> flows_out)
+inline void round_node_bernoulli_v2(const double* yhat, std::int64_t* out,
+                                    std::int32_t degree, std::uint64_t seed,
+                                    node_id v, std::int64_t round)
 {
-    const half_edge_id begin = g.half_edge_begin(v);
     const std::uint64_t base = stream_base(seed, static_cast<std::uint64_t>(v),
                                            static_cast<std::uint64_t>(round));
-    for (half_edge_id h = begin; h < g.half_edge_end(v); ++h) {
-        const double yhat = scheduled[h];
-        if (yhat <= 0.0) {
-            flows_out[h] = 0;
+    for (std::int32_t j = 0; j < degree; ++j) {
+        if (yhat[j] <= 0.0) {
+            out[j] = 0;
             continue;
         }
-        const double floored = std::floor(yhat);
-        const double fraction = yhat - floored;
+        const double floored = std::floor(yhat[j]);
+        const double fraction = yhat[j] - floored;
         const double coin =
-            to_unit_double(draw_at(base, static_cast<std::uint64_t>(h - begin)));
-        flows_out[h] = static_cast<std::int64_t>(floored) +
-                       (fraction > 0.0 && coin < fraction ? 1 : 0);
+            to_unit_double(draw_at(base, static_cast<std::uint64_t>(j)));
+        out[j] = static_cast<std::int64_t>(floored) +
+                 (fraction > 0.0 && coin < fraction ? 1 : 0);
     }
 }
 
-/// Pre-canonical helpers, kept verbatim for round_flows_reference.
-void round_node_randomized_reference(const graph& g, node_id v,
-                                     std::span<const double> scheduled,
-                                     std::uint64_t seed, std::int64_t round,
-                                     std::span<std::int64_t> flows_out)
+/// One node's rounding under a kind and stream format fixed per sweep.
+/// `scratch` is degree long (v1 fractions, v2 prefix sums).
+template <rounding_kind Kind, rng_version Version>
+struct node_rounder {
+    std::uint64_t seed;
+    std::int64_t round;
+
+    template <std::int32_t StaticDegree>
+    void node(const double* yhat, std::int64_t* out, std::int32_t degree,
+              node_id v, double* scratch) const
+    {
+        if constexpr (Kind == rounding_kind::randomized) {
+            if constexpr (Version == rng_version::v2)
+                round_node_randomized_v2<StaticDegree>(yhat, out, degree, seed,
+                                                       v, round, scratch);
+            else
+                round_node_randomized<StaticDegree>(yhat, out, degree, seed, v,
+                                                    round, scratch);
+        } else if constexpr (Kind == rounding_kind::bernoulli_edge) {
+            if constexpr (Version == rng_version::v2)
+                round_node_bernoulli_v2(yhat, out, degree, seed, v, round);
+            else
+                round_node_bernoulli(yhat, out, degree, seed, v, round);
+        } else {
+            const std::int32_t d = StaticDegree != 0 ? StaticDegree : degree;
+            for (std::int32_t j = 0; j < d; ++j) {
+                if constexpr (Kind == rounding_kind::floor)
+                    out[j] = yhat[j] > 0.0
+                                 ? static_cast<std::int64_t>(std::floor(yhat[j]))
+                                 : 0;
+                else
+                    out[j] = yhat[j] > 0.0 ? std::llround(yhat[j]) : 0;
+            }
+        }
+    }
+};
+
+/// The prevent policy on one node's rounded slice: if the outgoing tokens
+/// exceed max(load, 0), keep them greedily in slice order. Returns the
+/// tokens refused.
+inline std::int64_t clip_outgoing(std::int64_t* out, std::int32_t degree,
+                                  std::int64_t load)
 {
-    const half_edge_id begin = g.half_edge_begin(v);
-    const half_edge_id end = g.half_edge_end(v);
-
-    // Pass 1: floor all outgoing flows, accumulate the excess mass r.
-    double excess = 0.0;
-    for (half_edge_id h = begin; h < end; ++h) {
-        const double yhat = scheduled[h];
-        if (yhat > 0.0) {
-            const double floored = std::floor(yhat);
-            flows_out[h] = static_cast<std::int64_t>(floored);
-            excess += yhat - floored;
-        }
+    std::int64_t positive_out = 0;
+    for (std::int32_t j = 0; j < degree; ++j)
+        if (out[j] > 0) positive_out += out[j];
+    const std::int64_t available = std::max<std::int64_t>(load, 0);
+    if (positive_out <= available) return 0;
+    std::int64_t remaining = available;
+    std::int64_t tokens = 0;
+    for (std::int32_t j = 0; j < degree; ++j) {
+        if (out[j] <= 0) continue;
+        const std::int64_t keep = std::min(out[j], remaining);
+        tokens += out[j] - keep;
+        out[j] = keep;
+        remaining -= keep;
     }
-    if (excess <= 0.0) return;
+    return tokens;
+}
 
-    // Pass 2: distribute ceil(r) candidate tokens. Each leaves the node
-    // with probability r/ceil(r); a leaving token picks the outgoing edge
-    // h with probability {Yhat_h}/r.
-    const double token_count_real = std::ceil(excess);
-    const auto token_count = static_cast<std::int64_t>(token_count_real);
-    const double send_probability = excess / token_count_real;
+/// Yhat sources of the owner sweep: node() returns a pointer to v's
+/// degree values. A precomputed per-half-edge array is read in place; the
+/// bound flow rule evaluates into the caller's buffer.
+struct precomputed_flows {
+    const double* scheduled;
 
-    auto rng = stream_for(seed, static_cast<std::uint64_t>(v),
-                          static_cast<std::uint64_t>(round));
-    for (std::int64_t token = 0; token < token_count; ++token) {
-        if (!rng.next_bernoulli(send_probability)) continue;
-        // Inverse-CDF walk over the fractional parts.
-        double target = rng.next_double() * excess;
-        half_edge_id chosen = -1;
-        for (half_edge_id h = begin; h < end; ++h) {
-            const double yhat = scheduled[h];
-            if (yhat <= 0.0) continue;
-            const double fraction = yhat - std::floor(yhat);
-            if (fraction <= 0.0) continue;
-            chosen = h;
-            target -= fraction;
-            if (target <= 0.0) break;
-        }
-        // target may stay positive due to floating-point slack; the walk
-        // then lands on the last fractional edge, preserving totals.
-        if (chosen >= 0) flows_out[chosen] += 1;
+    template <std::int32_t StaticDegree>
+    const double* node(const graph&, node_id, half_edge_id begin, std::int32_t,
+                       double*) const
+    {
+        return scheduled + begin;
     }
+};
+
+struct flows_from_rule {
+    const flow_rule<std::int64_t>& rule;
+
+    template <std::int32_t StaticDegree>
+    const double* node(const graph& g, node_id v, half_edge_id begin,
+                       std::int32_t degree, double* buffer) const
+    {
+        rule.node_flows<StaticDegree>(g, v, begin, degree, buffer);
+        return buffer;
+    }
+};
+
+/// The owner sweep: Yhat, rounding and (for a nonempty `clip_load`) the
+/// prevent clip of each node in one pass over its slice. Degree-4 nodes
+/// get the fully unrolled kernels with stack buffers — on a 4-regular
+/// graph (the 2D torus, the paper's primary topology) with begin == 4v and
+/// no CSR offset loads; irregular graphs dispatch per node so e.g. grid
+/// interiors still qualify.
+template <class Source, class Rounder>
+std::int64_t owner_sweep(const graph& g, const Source& source,
+                         const Rounder& rounder,
+                         std::span<const std::int64_t> clip_load,
+                         std::span<std::int64_t> flows_out, executor& exec)
+{
+    std::int64_t* const flows = flows_out.data();
+    const bool clip = !clip_load.empty();
+    const bool regular4 =
+        g.max_degree() == 4 &&
+        g.num_half_edges() == 4 * static_cast<std::int64_t>(g.num_nodes());
+    return exec.parallel_reduce(
+        g.num_nodes(), std::int64_t{0},
+        [&](std::int64_t chunk_begin, std::int64_t chunk_end) {
+            std::int64_t clipped = 0;
+            const auto visit = [&]<std::int32_t StaticDegree>(
+                                   node_id v, half_edge_id begin,
+                                   std::int32_t degree, double* buffer,
+                                   double* scratch) {
+                const double* yhat = source.template node<StaticDegree>(
+                    g, v, begin, degree, buffer);
+                rounder.template node<StaticDegree>(yhat, flows + begin, degree,
+                                                    v, scratch);
+                if (clip)
+                    clipped += clip_outgoing(flows + begin, degree, clip_load[v]);
+            };
+            if (regular4) {
+                for (auto v = static_cast<node_id>(chunk_begin); v < chunk_end;
+                     ++v) {
+                    double buffer[4];
+                    double scratch[4];
+                    visit.template operator()<4>(
+                        v, static_cast<half_edge_id>(v) * 4, 4, buffer, scratch);
+                }
+                return clipped;
+            }
+            std::vector<double> buffers(
+                2 * static_cast<std::size_t>(g.max_degree()));
+            double* const buffer = buffers.data();
+            double* const scratch = buffer + g.max_degree();
+            for (auto v = static_cast<node_id>(chunk_begin); v < chunk_end; ++v) {
+                const half_edge_id begin = g.half_edge_begin(v);
+                const auto degree =
+                    static_cast<std::int32_t>(g.half_edge_end(v) - begin);
+                if (degree == 4)
+                    visit.template operator()<4>(v, begin, 4, buffer, scratch);
+                else
+                    visit.template operator()<0>(v, begin, degree, buffer,
+                                                 scratch);
+            }
+            return clipped;
+        },
+        [](std::int64_t acc, std::int64_t part) { return acc + part; });
+}
+
+/// Picks the rounder for `kind` and `version` (the deterministic kinds
+/// draw nothing, so they ignore the version) and runs the owner sweep.
+template <class Source>
+std::int64_t dispatch_owner_sweep(const graph& g, const Source& source,
+                                  rounding_kind kind, std::uint64_t seed,
+                                  std::int64_t round, rng_version version,
+                                  std::span<const std::int64_t> clip_load,
+                                  std::span<std::int64_t> flows_out,
+                                  executor& exec)
+{
+    kernel_counter(kind).add(g.num_half_edges());
+    const auto run = [&]<rounding_kind Kind, rng_version Version>() {
+        return owner_sweep(g, source, node_rounder<Kind, Version>{seed, round},
+                           clip_load, flows_out, exec);
+    };
+    const bool v2 = version == rng_version::v2;
+    switch (kind) {
+    case rounding_kind::randomized:
+        return v2 ? run.template operator()<rounding_kind::randomized,
+                                            rng_version::v2>()
+                  : run.template operator()<rounding_kind::randomized,
+                                            rng_version::v1>();
+    case rounding_kind::floor:
+        return run.template operator()<rounding_kind::floor, rng_version::v1>();
+    case rounding_kind::nearest:
+        return run.template operator()<rounding_kind::nearest, rng_version::v1>();
+    case rounding_kind::bernoulli_edge:
+        return v2 ? run.template operator()<rounding_kind::bernoulli_edge,
+                                            rng_version::v2>()
+                  : run.template operator()<rounding_kind::bernoulli_edge,
+                                            rng_version::v1>();
+    }
+    return 0;
 }
 
 } // namespace
@@ -344,61 +467,16 @@ void round_flows(const graph& g, rounding_kind kind,
         flows_out.size() != scheduled.size())
         throw std::invalid_argument("round_flows: size mismatch");
 
-    if (kind != rounding_kind::randomized)
-        kernel_counter(kind).add(g.num_half_edges());
-
-    // Deterministic roundings need no owner/mirror split: the negative side
-    // is the exact negation of rounding the positive side (floor and
-    // llround are odd under negating their nonzero argument, and the
-    // scheduled flows are antisymmetric), so one fused branch-free sweep
-    // writes every half-edge exactly once.
-    if (kind == rounding_kind::floor || kind == rounding_kind::nearest) {
-        exec.parallel_for(
-            g.num_half_edges(), [&](std::int64_t begin, std::int64_t end) {
-                if (kind == rounding_kind::floor) {
-                    for (half_edge_id h = begin; h < end; ++h) {
-                        const double yhat = scheduled[h];
-                        const auto magnitude = static_cast<std::int64_t>(
-                            std::floor(std::fabs(yhat)));
-                        flows_out[h] = yhat > 0.0 ? magnitude : -magnitude;
-                    }
-                } else {
-                    for (half_edge_id h = begin; h < end; ++h) {
-                        const double yhat = scheduled[h];
-                        const std::int64_t magnitude = std::llround(std::fabs(yhat));
-                        flows_out[h] = yhat > 0.0 ? magnitude : -magnitude;
-                    }
-                }
-            });
-        return;
-    }
-
-    // Randomized schemes: the owner (positive-scheduled) side's RNG decides,
-    // so owners write their outgoing half-edges first ...
-    if (kind == rounding_kind::randomized) {
-        round_flows_randomized_owner(g, scheduled, seed, round, flows_out, exec,
-                                     version);
-    } else {
-        exec.parallel_for(
-            g.num_nodes(), [&](std::int64_t chunk_begin, std::int64_t chunk_end) {
-                for (node_id v = static_cast<node_id>(chunk_begin); v < chunk_end;
-                     ++v) {
-                    if (version == rng_version::v2)
-                        round_node_bernoulli_v2(g, v, scheduled, seed, round,
-                                                flows_out);
-                    else
-                        round_node_bernoulli(g, v, scheduled, seed, round,
-                                             flows_out);
-                }
-            });
-    }
+    // Owners write their outgoing half-edges (zeros elsewhere) ...
+    dispatch_owner_sweep(g, precomputed_flows{scheduled.data()}, kind, seed,
+                         round, version, {}, flows_out, exec);
 
     // ... and each canonical edge then mirrors its owner's result onto the
     // negative side. Each half-edge belongs to exactly one edge, so the
     // edge-parallel writes are disjoint. Both sides are rewritten
     // unconditionally (select, no data-dependent branch): the owner side
     // keeps its value, the other side gets the negation, and zero-scheduled
-    // edges rewrite the 0 both owner passes produced.
+    // edges rewrite the 0 the owner pass produced.
     const auto canonical = g.canonical_half_edges();
     exec.parallel_for(g.num_edges(), [&](std::int64_t begin, std::int64_t end) {
         for (std::int64_t e = begin; e < end; ++e) {
@@ -413,130 +491,20 @@ void round_flows(const graph& g, rounding_kind kind,
     });
 }
 
-namespace {
-
-/// One chunk of the v2 owner sweep, out of line so the hot loops are
-/// compiled standalone (sharing the v1 lambda costs measurable codegen
-/// quality). Degree-4 fast path: the 2D torus — the paper's primary
-/// topology — and every other 4-regular family get the fully unrolled
-/// kernel with a stack prefix and begin == 4v (no CSR offset loads);
-/// irregular graphs dispatch per node so e.g. grid interiors still
-/// qualify. Identical results either way: the degree only changes trip
-/// counts and addressing.
-[[gnu::noinline]] void owner_sweep_v2(const graph& g, node_id chunk_begin,
-                                      node_id chunk_end,
-                                      std::span<const double> scheduled,
-                                      std::uint64_t seed, std::int64_t round,
-                                      std::span<std::int64_t> flows_out)
+std::int64_t round_owner_pass(const graph& g,
+                              const flow_rule<std::int64_t>& rule,
+                              rounding_kind kind, std::uint64_t seed,
+                              std::int64_t round, rng_version version,
+                              std::span<const std::int64_t> clip_load,
+                              std::span<std::int64_t> flows_out,
+                              executor& exec)
 {
-    const double* __restrict sched = scheduled.data();
-    std::int64_t* __restrict flows = flows_out.data();
-    const bool regular4 =
-        g.max_degree() == 4 &&
-        g.num_half_edges() == 4 * static_cast<std::int64_t>(g.num_nodes());
-    if (regular4) {
-        for (node_id v = chunk_begin; v < chunk_end; ++v) {
-            double prefix[4];
-            round_node_randomized_v2<4>(
-                sched, flows, static_cast<half_edge_id>(v) * 4, 4, seed,
-                static_cast<std::uint64_t>(v), round, prefix);
-        }
-        return;
-    }
-    std::vector<double> prefix(static_cast<std::size_t>(g.max_degree()));
-    for (node_id v = chunk_begin; v < chunk_end; ++v) {
-        const half_edge_id begin = g.half_edge_begin(v);
-        const auto degree =
-            static_cast<std::int32_t>(g.half_edge_end(v) - begin);
-        if (degree == 4)
-            round_node_randomized_v2<4>(sched, flows, begin, 4, seed,
-                                        static_cast<std::uint64_t>(v), round,
-                                        prefix.data());
-        else
-            round_node_randomized_v2<0>(sched, flows, begin, degree, seed,
-                                        static_cast<std::uint64_t>(v), round,
-                                        prefix.data());
-    }
-}
-
-} // namespace
-
-void round_flows_randomized_owner(const graph& g,
-                                  std::span<const double> scheduled,
-                                  std::uint64_t seed, std::int64_t round,
-                                  std::span<std::int64_t> flows_out,
-                                  executor& exec, rng_version version)
-{
-    if (scheduled.size() != static_cast<std::size_t>(g.num_half_edges()) ||
-        flows_out.size() != scheduled.size())
-        throw std::invalid_argument("round_flows_randomized_owner: size mismatch");
-
-    kernel_counter(rounding_kind::randomized).add(g.num_half_edges());
-
-    if (version == rng_version::v2) {
-        exec.parallel_for(g.num_nodes(),
-                          [&](std::int64_t chunk_begin, std::int64_t chunk_end) {
-                              owner_sweep_v2(g, static_cast<node_id>(chunk_begin),
-                                             static_cast<node_id>(chunk_end),
-                                             scheduled, seed, round, flows_out);
-                          });
-        return;
-    }
-
-    exec.parallel_for(g.num_nodes(), [&](std::int64_t chunk_begin,
-                                         std::int64_t chunk_end) {
-        std::vector<double> fractions(static_cast<std::size_t>(g.max_degree()));
-        for (node_id v = static_cast<node_id>(chunk_begin); v < chunk_end; ++v)
-            round_node_randomized(g, v, scheduled, seed, round, flows_out,
-                                  fractions);
-    });
-}
-
-void round_flows_reference(const graph& g, rounding_kind kind,
-                           std::span<const double> scheduled, std::uint64_t seed,
-                           std::int64_t round, std::span<std::int64_t> flows_out,
-                           executor& exec)
-{
-    if (scheduled.size() != static_cast<std::size_t>(g.num_half_edges()) ||
-        flows_out.size() != scheduled.size())
-        throw std::invalid_argument("round_flows: size mismatch");
-
-    // Owners write their outgoing half-edges only; twins are fixed after.
-    exec.parallel_for(g.num_nodes(), [&](std::int64_t chunk_begin, std::int64_t chunk_end) {
-        for (node_id v = static_cast<node_id>(chunk_begin); v < chunk_end; ++v) {
-            const half_edge_id begin = g.half_edge_begin(v);
-            const half_edge_id end = g.half_edge_end(v);
-            for (half_edge_id h = begin; h < end; ++h) flows_out[h] = 0;
-
-            switch (kind) {
-            case rounding_kind::randomized:
-                round_node_randomized_reference(g, v, scheduled, seed, round,
-                                                flows_out);
-                break;
-            case rounding_kind::floor:
-                for (half_edge_id h = begin; h < end; ++h)
-                    if (scheduled[h] > 0.0)
-                        flows_out[h] =
-                            static_cast<std::int64_t>(std::floor(scheduled[h]));
-                break;
-            case rounding_kind::nearest:
-                for (half_edge_id h = begin; h < end; ++h)
-                    if (scheduled[h] > 0.0)
-                        flows_out[h] = std::llround(scheduled[h]);
-                break;
-            case rounding_kind::bernoulli_edge:
-                round_node_bernoulli(g, v, scheduled, seed, round, flows_out);
-                break;
-            }
-        }
-    });
-
-    // Mirror pass: the negative side of each edge is minus the owner's
-    // rounded flow. Safe in parallel: each index writes only itself.
-    exec.parallel_for(g.num_half_edges(), [&](std::int64_t begin, std::int64_t end) {
-        for (half_edge_id h = begin; h < end; ++h)
-            if (scheduled[h] < 0.0) flows_out[h] = -flows_out[g.twin(h)];
-    });
+    if (flows_out.size() != static_cast<std::size_t>(g.num_half_edges()) ||
+        (!clip_load.empty() &&
+         clip_load.size() != static_cast<std::size_t>(g.num_nodes())))
+        throw std::invalid_argument("round_owner_pass: size mismatch");
+    return dispatch_owner_sweep(g, flows_from_rule{rule}, kind, seed, round,
+                                version, clip_load, flows_out, exec);
 }
 
 } // namespace dlb

@@ -2,8 +2,8 @@
 // integral token movements (paper Definition 1 and Section III-B).
 //
 // Every scheme processes only the positive direction of each edge (the node
-// with outgoing scheduled flow "owns" it) and mirrors the result to the twin
-// half-edge, so antisymmetry holds exactly.
+// with outgoing scheduled flow "owns" it); the negative direction is the
+// owner's negation, so antisymmetry holds exactly.
 //
 //  * randomized    — the paper's framework R(C): floor every outgoing flow,
 //                    gather the fractional parts r, take ceil(r) excess
@@ -30,6 +30,7 @@
 #include <string_view>
 
 #include "core/executor.hpp"
+#include "core/scheme.hpp"
 #include "graph/graph.hpp"
 #include "util/rng.hpp"
 
@@ -50,36 +51,32 @@ std::string_view to_string(rounding_kind kind) noexcept;
 /// and `version` the stream format (both unused by the deterministic
 /// schemes).
 ///
-/// floor/nearest round both directions of every edge in one node-parallel
-/// sweep (the negative side is the exact negation of the positive side's
-/// rounding, so no mirror pass is needed); the randomized schemes keep the
-/// owner-side pass — the owner's RNG decides — and mirror once per
-/// canonical edge instead of rescanning all half-edges.
+/// Runs the same per-node rounding as round_owner_pass — each node rounds
+/// its own outgoing (positive-scheduled) half-edges — and then one mirror
+/// sweep per canonical edge writes the owner's negation onto the twin.
 void round_flows(const graph& g, rounding_kind kind,
                  std::span<const double> scheduled, std::uint64_t seed,
                  std::int64_t round, std::span<std::int64_t> flows_out,
                  executor& exec, rng_version version = default_rng_version);
 
-/// Engine fast path: the randomized owner pass alone, without the mirror
-/// sweep — only owner (positive-scheduled) sides are written, zeros
-/// elsewhere; the discrete engine's apply sweep derives every negative
-/// side as its owner's negation. Owner-side values are bit-identical to
-/// round_flows(randomized) with the same `version`.
-void round_flows_randomized_owner(const graph& g,
-                                  std::span<const double> scheduled,
-                                  std::uint64_t seed, std::int64_t round,
-                                  std::span<std::int64_t> flows_out,
-                                  executor& exec,
-                                  rng_version version = default_rng_version);
-
-/// The pre-canonical implementation (owner pass over all half-edges plus a
-/// full mirror sweep). Kept as the bitwise oracle for the golden
-/// determinism suite and the kernel microbenchmarks. v1-format only: this
-/// is the frozen pre-version pipeline, so it takes no rng_version.
-void round_flows_reference(const graph& g, rounding_kind kind,
-                           std::span<const double> scheduled, std::uint64_t seed,
-                           std::int64_t round, std::span<std::int64_t> flows_out,
-                           executor& exec);
+/// The discrete engine's fused owner pass, one node-parallel sweep: each
+/// node v computes Yhat for its slice (rule.node_flows) into a local
+/// buffer and rounds it at once, exactly as round_flows would. Only v's
+/// outgoing (Yhat > 0) half-edges receive their integer flow; every other
+/// half-edge gets 0, so each edge's flow is
+///   y[h] = flows_out[h] - flows_out[twin(h)]
+/// with exactly one term nonzero (Yhat is exactly antisymmetric for a
+/// symmetric alpha). A nonempty `clip_load` (one entry per node) applies
+/// the prevent policy in the same pass: a node whose outgoing tokens exceed
+/// max(load, 0) keeps them greedily in slice order. Returns the clipped
+/// token count, reduced deterministically.
+std::int64_t round_owner_pass(const graph& g,
+                              const flow_rule<std::int64_t>& rule,
+                              rounding_kind kind, std::uint64_t seed,
+                              std::int64_t round, rng_version version,
+                              std::span<const std::int64_t> clip_load,
+                              std::span<std::int64_t> flows_out,
+                              executor& exec);
 
 } // namespace dlb
 

@@ -34,116 +34,27 @@ double scheme_beta_for_round(scheme_params scheme, std::int64_t rounds_in_scheme
     return beta;
 }
 
-namespace {
-
-/// Shared shape checks for the scheduled_flows overloads; returns whether
-/// this round applies the second-order rule (needing previous flows).
-bool validate_flows(const graph& g, std::span<const double> alpha,
-                    scheme_params scheme, std::int64_t rounds_in_scheme,
-                    std::span<const double> load_over_speed,
-                    std::size_t previous_flows_size,
-                    std::span<double> flows_out)
-{
-    if (alpha.size() != static_cast<std::size_t>(g.num_half_edges()) ||
-        flows_out.size() != alpha.size())
-        throw std::invalid_argument("scheduled_flows: size mismatch");
-    if (load_over_speed.size() != static_cast<std::size_t>(g.num_nodes()))
-        throw std::invalid_argument("scheduled_flows: load size mismatch");
-
-    const bool second_order =
-        scheme.kind != scheme_kind::fos && rounds_in_scheme > 0;
-    if (second_order && previous_flows_size != alpha.size())
-        throw std::invalid_argument("scheduled_flows: previous flows missing");
-    return second_order;
-}
-
-} // namespace
-
-namespace {
-
-// Each undirected edge is evaluated once from its canonical half-edge
-// (tail < head, found by scanning each node's slice for larger-id
-// neighbors — cheaper than streaming the canonical index list through
-// the cache) and mirrored by negation. For a nonzero flow the mirror is
-// bitwise what the two-sided evaluation would produce: alpha is
-// symmetric, the twin's previous flow and gradient are exact negations,
-// and IEEE operations commute with jointly negating their inputs. Zero
-// flows are the one asymmetric corner (x - x is +0.0 in both
-// directions, and a sum cancelling to zero is +0.0 regardless of sign),
-// so that rare case re-evaluates the twin's own expression instead.
-//
-// `Prev` is indexable by half-edge and yields double: either the double
-// span or the discrete engine's integer flows cast in place (exact).
-template <class Prev>
-void canonical_flows(const graph& g, std::span<const double> alpha,
-                     bool second_order, double beta,
-                     std::span<const double> load_over_speed,
-                     const Prev previous_flows, std::span<double> flows_out,
-                     executor& exec)
-{
-    exec.parallel_for(g.num_nodes(), [&](std::int64_t begin, std::int64_t end) {
-        for (node_id u = static_cast<node_id>(begin); u < end; ++u) {
-            const double xu = load_over_speed[u];
-            const half_edge_id he_begin = g.half_edge_begin(u);
-            const half_edge_id he_end = g.half_edge_end(u);
-            if (second_order) {
-                for (half_edge_id h = he_begin; h < he_end; ++h) {
-                    const node_id v = g.head(h);
-                    if (v < u) continue; // the twin writes this edge
-                    const half_edge_id tw = g.twin(h);
-                    const double xv = load_over_speed[v];
-                    const double f =
-                        (beta - 1.0) * static_cast<double>(previous_flows[h]) +
-                        beta * alpha[h] * (xu - xv);
-                    flows_out[h] = f;
-                    flows_out[tw] =
-                        f != 0.0
-                            ? -f
-                            : (beta - 1.0) *
-                                      static_cast<double>(previous_flows[tw]) +
-                                  beta * alpha[tw] * (xv - xu);
-                }
-            } else {
-                for (half_edge_id h = he_begin; h < he_end; ++h) {
-                    const node_id v = g.head(h);
-                    if (v < u) continue;
-                    const half_edge_id tw = g.twin(h);
-                    const double xv = load_over_speed[v];
-                    const double f = alpha[h] * (xu - xv);
-                    flows_out[h] = f;
-                    flows_out[tw] = f != 0.0 ? -f : alpha[tw] * (xv - xu);
-                }
-            }
-        }
-    });
-}
-
-} // namespace
-
 void scheduled_flows(const graph& g, std::span<const double> alpha,
                      scheme_params scheme, std::int64_t rounds_in_scheme,
                      double beta, std::span<const double> load_over_speed,
                      std::span<const double> previous_flows,
                      std::span<double> flows_out, executor& exec)
 {
-    const bool second_order =
-        validate_flows(g, alpha, scheme, rounds_in_scheme, load_over_speed,
-                       previous_flows.size(), flows_out);
-    canonical_flows(g, alpha, second_order, beta, load_over_speed,
-                    previous_flows, flows_out, exec);
-}
+    const flow_rule<double> rule =
+        bind_flow_rule(g, alpha, scheme, rounds_in_scheme, beta,
+                       load_over_speed, previous_flows);
+    if (flows_out.size() != alpha.size())
+        throw std::invalid_argument("scheduled_flows: size mismatch");
 
-void scheduled_flows(const graph& g, std::span<const double> alpha,
-                     scheme_params scheme, std::int64_t rounds_in_scheme,
-                     double beta, std::span<const double> load_over_speed,
-                     std::span<const std::int64_t> previous_flows,
-                     std::span<double> flows_out, executor& exec)
-{
-    const bool second_order =
-        validate_flows(g, alpha, scheme, rounds_in_scheme, load_over_speed,
-                       previous_flows.size(), flows_out);
-    canonical_flows(g, alpha, second_order, beta, load_over_speed,
-                    previous_flows, flows_out, exec);
+    // Parallel over nodes; each chunk writes only its nodes' half-edges.
+    exec.parallel_for(g.num_nodes(), [&](std::int64_t begin, std::int64_t end) {
+        for (node_id v = static_cast<node_id>(begin); v < end; ++v) {
+            const half_edge_id first = g.half_edge_begin(v);
+            rule.node_flows(g, v, first,
+                            static_cast<std::int32_t>(g.half_edge_end(v) - first),
+                            flows_out.data() + first);
+        }
+    });
 }
 
 void scheduled_flows(const graph& g, std::span<const double> alpha,
@@ -155,41 +66,6 @@ void scheduled_flows(const graph& g, std::span<const double> alpha,
     scheduled_flows(g, alpha, scheme, rounds_in_scheme,
                     scheme_beta_for_round(scheme, rounds_in_scheme),
                     load_over_speed, previous_flows, flows_out, exec);
-}
-
-void scheduled_flows_reference(const graph& g, std::span<const double> alpha,
-                               scheme_params scheme,
-                               std::int64_t rounds_in_scheme,
-                               std::span<const double> load_over_speed,
-                               std::span<const double> previous_flows,
-                               std::span<double> flows_out, executor& exec)
-{
-    const bool second_order =
-        validate_flows(g, alpha, scheme, rounds_in_scheme, load_over_speed,
-                       previous_flows.size(), flows_out);
-
-    const double beta = scheme_beta_for_round(scheme, rounds_in_scheme);
-
-    // Parallel over nodes; each chunk writes only its nodes' half-edges.
-    exec.parallel_for(g.num_nodes(), [&](std::int64_t begin, std::int64_t end) {
-        for (node_id v = static_cast<node_id>(begin); v < end; ++v) {
-            const double xv = load_over_speed[v];
-            const half_edge_id he_begin = g.half_edge_begin(v);
-            const half_edge_id he_end = g.half_edge_end(v);
-            if (second_order) {
-                for (half_edge_id h = he_begin; h < he_end; ++h) {
-                    const double gradient = xv - load_over_speed[g.head(h)];
-                    flows_out[h] = (beta - 1.0) * previous_flows[h] +
-                                   beta * alpha[h] * gradient;
-                }
-            } else {
-                for (half_edge_id h = he_begin; h < he_end; ++h) {
-                    const double gradient = xv - load_over_speed[g.head(h)];
-                    flows_out[h] = alpha[h] * gradient;
-                }
-            }
-        }
-    });
 }
 
 } // namespace dlb

@@ -6,12 +6,13 @@
 //
 // Homogeneous networks have s_i = 1, recovering eq. (1) and (3). The flows
 // are computed per half-edge; antisymmetry y[h] == -y[twin(h)] holds by
-// construction of the formula.
+// construction of the formula for a symmetric alpha.
 #ifndef DLB_CORE_SCHEME_HPP
 #define DLB_CORE_SCHEME_HPP
 
 #include <cstdint>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "core/executor.hpp"
@@ -123,20 +124,84 @@ private:
     double omega_ = 1.0; // last Chebyshev omega returned (valid for t >= 1)
 };
 
+/// One round's flow rule with its inputs bound: Yhat(t) = C(x(t), y(t-1))
+/// evaluated on one node's adjacency slice, from that node's side. This is
+/// the single definition of Yhat: scheduled_flows runs it for every node,
+/// and the discrete engine's owner pass (round_owner_pass, core/rounding.hpp)
+/// runs it per node straight into the rounding.
+///
+/// Each half-edge is evaluated independently (two-sided), so the result is
+/// exactly antisymmetric — Yhat[h] == -Yhat[twin(h)] bit for bit whenever
+/// it is nonzero — provided alpha is symmetric (the engines validate that)
+/// and `previous_flows` is antisymmetric: IEEE operations commute with
+/// jointly negating their inputs.
+///
+/// `Prev` is the previous-flow element type: double (continuous engine) or
+/// the discrete engine's int64 token flows, cast exactly.
+template <class Prev>
+struct flow_rule {
+    const double* alpha = nullptr;
+    const double* load_over_speed = nullptr; // x_i(t)/s_i
+    const Prev* previous_flows = nullptr;    // read only when second_order
+    bool second_order = false;               // the SOS/Chebyshev rule applies
+    double beta = 1.0;
+
+    /// Writes Yhat for half-edges [begin, begin + degree) of node v into
+    /// out[0, degree). StaticDegree != 0 fixes the trip count at compile
+    /// time (the engines' degree-4 fast path); the results are identical.
+    template <std::int32_t StaticDegree = 0>
+    void node_flows(const graph& g, node_id v, half_edge_id begin,
+                    std::int32_t degree, double* out) const
+    {
+        const std::int32_t d = StaticDegree != 0 ? StaticDegree : degree;
+        const double xv = load_over_speed[v];
+        if (second_order) {
+            for (std::int32_t j = 0; j < d; ++j) {
+                const half_edge_id h = begin + j;
+                const double gradient = xv - load_over_speed[g.head(h)];
+                out[j] = (beta - 1.0) * static_cast<double>(previous_flows[h]) +
+                         beta * alpha[h] * gradient;
+            }
+        } else {
+            for (std::int32_t j = 0; j < d; ++j) {
+                const half_edge_id h = begin + j;
+                const double gradient = xv - load_over_speed[g.head(h)];
+                out[j] = alpha[h] * gradient;
+            }
+        }
+    }
+};
+
+/// Binds the flow rule for round `rounds_in_scheme` of `scheme` (0-based
+/// since the scheme became active): SOS uses the FOS rule when it is zero
+/// (paper: "The only exception is the very first round in which FOS is
+/// applied"). `beta` must equal scheme_beta_for_round(scheme,
+/// rounds_in_scheme); engines pass their O(1) scheme_beta_state value.
+/// `load_over_speed[i]` must hold x_i(t)/s_i; `previous_flows` may be empty
+/// when the first-order rule applies. Throws std::invalid_argument on a
+/// shape mismatch.
+template <class Prev>
+flow_rule<Prev> bind_flow_rule(const graph& g, std::span<const double> alpha,
+                               scheme_params scheme,
+                               std::int64_t rounds_in_scheme, double beta,
+                               std::span<const double> load_over_speed,
+                               std::span<const Prev> previous_flows)
+{
+    if (alpha.size() != static_cast<std::size_t>(g.num_half_edges()))
+        throw std::invalid_argument("scheduled_flows: size mismatch");
+    if (load_over_speed.size() != static_cast<std::size_t>(g.num_nodes()))
+        throw std::invalid_argument("scheduled_flows: load size mismatch");
+    const bool second_order =
+        scheme.kind != scheme_kind::fos && rounds_in_scheme > 0;
+    if (second_order && previous_flows.size() != alpha.size())
+        throw std::invalid_argument("scheduled_flows: previous flows missing");
+    return {alpha.data(), load_over_speed.data(), previous_flows.data(),
+            second_order, beta};
+}
+
 /// Computes the continuous scheduled flows Yhat(t) = C(x(t), y(t-1)) for
-/// every half-edge.
-///
-/// `load_over_speed[i]` must hold x_i(t)/s_i. `rounds_in_scheme` counts
-/// rounds since this scheme became active: SOS uses the FOS rule when it is
-/// zero (paper: "The only exception is the very first round in which FOS is
-/// applied"). `previous_flows` may be empty for FOS.
-///
-/// The kernel is edge-canonical: each undirected edge's flow is computed
-/// once from its canonical half-edge (tail < head) and mirrored to the twin
-/// by negation, which is bitwise-identical to evaluating the formula on
-/// both sides because alpha is symmetric and `previous_flows` is
-/// antisymmetric. All of `previous_flows` must be valid: the zero-flow
-/// corner re-evaluates the twin's own expression, reading its entry.
+/// every half-edge: flow_rule::node_flows over every node. Arguments as
+/// for bind_flow_rule; `flows_out` is per half-edge.
 void scheduled_flows(const graph& g, std::span<const double> alpha,
                      scheme_params scheme, std::int64_t rounds_in_scheme,
                      std::span<const double> load_over_speed,
@@ -151,27 +216,6 @@ void scheduled_flows(const graph& g, std::span<const double> alpha,
                      double beta, std::span<const double> load_over_speed,
                      std::span<const double> previous_flows,
                      std::span<double> flows_out, executor& exec);
-
-/// Overload for integer previous flows (the discrete engine): entries are
-/// cast in place of materializing a double copy, which is exact — token
-/// counts stay far below 2^53 — and saves a full per-half-edge conversion
-/// sweep per round.
-void scheduled_flows(const graph& g, std::span<const double> alpha,
-                     scheme_params scheme, std::int64_t rounds_in_scheme,
-                     double beta, std::span<const double> load_over_speed,
-                     std::span<const std::int64_t> previous_flows,
-                     std::span<double> flows_out, executor& exec);
-
-/// The pre-canonical two-sided kernel: evaluates the flow rule
-/// independently on every half-edge. Kept as the bitwise oracle for the
-/// golden determinism suite and the kernel microbenchmarks; reads all of
-/// `previous_flows`, not just the canonical entries.
-void scheduled_flows_reference(const graph& g, std::span<const double> alpha,
-                               scheme_params scheme,
-                               std::int64_t rounds_in_scheme,
-                               std::span<const double> load_over_speed,
-                               std::span<const double> previous_flows,
-                               std::span<double> flows_out, executor& exec);
 
 /// Validates scheme parameters; throws std::invalid_argument on bad beta.
 void validate_scheme(scheme_params scheme);

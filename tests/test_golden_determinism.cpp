@@ -1,30 +1,38 @@
-// Golden determinism suite for the canonical-edge round kernels.
+// Golden determinism suite for the round kernels.
 //
-// Two bitwise guarantees are pinned here:
+// The bitwise guarantees pinned here:
 //
-//  1. The canonical-edge kernels (scheduled_flows computing each edge once
-//     and mirroring by negation, round_flows with the fused/canonical
-//     mirror) produce bit-for-bit the same output as the pre-refactor
-//     two-sided kernels (kept as scheduled_flows_reference /
-//     round_flows_reference). A reference pipeline re-implementing the old
-//     engine round drives the comparison over real engine trajectories, so
-//     every `time_series` a run records is byte-identical to what the old
-//     kernel produced: the series is a pure function of the per-round load
-//     state, which is compared exactly here.
+//  1. The production kernels — the discrete engine's fused owner pass
+//     (each node computes its scheduled flows and rounds them in one
+//     sweep) and the public scheduled_flows / round_flows — produce
+//     bit-for-bit the output of the original two-sided kernels, frozen
+//     below as scheduled_flows_reference / round_flows_reference. A
+//     reference pipeline re-implementing the original engine round drives
+//     the comparison over real engine trajectories, so every `time_series`
+//     a run records is byte-identical to what the original kernels
+//     produced: the series is a pure function of the per-round load state,
+//     which is compared exactly here.
 //
-//  2. Engine output is byte-identical across executors: serial_executor and
+//  2. The fused engine equals the unfused public composition
+//     (scheduled_flows -> round_flows -> clip -> apply) for every rounding,
+//     both RNG stream formats and both negative-load policies, serially
+//     and on 2- and 4-worker pools.
+//
+//  3. Engine output is byte-identical across executors: serial_executor and
 //     thread_pool with 1, 2 and 8 workers, across discrete/continuous
 //     engines, all four roundings, both negative-load policies, and a
 //     hybrid-switch Chebyshev long run (>= 4000 rounds, which is only
 //     affordable because the engines carry the omega recurrence in O(1)).
 //
-//  3. Engine output is independent of buffer reuse: one engine_scratch
+//  4. Engine output is independent of buffer reuse: one engine_scratch
 //     serving a large run and then a smaller one yields the same series and
 //     final load as fresh allocation, on all three engines.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -45,6 +53,173 @@
 
 namespace dlb {
 namespace {
+
+// --- the frozen oracle --------------------------------------------------
+//
+// The two-sided kernels of the original engine, kept verbatim: the flow
+// rule evaluated independently on every half-edge, and rounding as an
+// owner pass over all half-edges plus a full mirror sweep (v1 stream
+// format only — this is the frozen pre-version pipeline). Nothing in the
+// library calls these; they exist so the production kernels have a fixed
+// bitwise target.
+
+void scheduled_flows_reference(const graph& g, std::span<const double> alpha,
+                               scheme_params scheme,
+                               std::int64_t rounds_in_scheme,
+                               std::span<const double> load_over_speed,
+                               std::span<const double> previous_flows,
+                               std::span<double> flows_out, executor& exec)
+{
+    if (alpha.size() != static_cast<std::size_t>(g.num_half_edges()) ||
+        flows_out.size() != alpha.size())
+        throw std::invalid_argument("scheduled_flows: size mismatch");
+    if (load_over_speed.size() != static_cast<std::size_t>(g.num_nodes()))
+        throw std::invalid_argument("scheduled_flows: load size mismatch");
+
+    const bool second_order =
+        scheme.kind != scheme_kind::fos && rounds_in_scheme > 0;
+    if (second_order && previous_flows.size() != alpha.size())
+        throw std::invalid_argument("scheduled_flows: previous flows missing");
+
+    const double beta = scheme_beta_for_round(scheme, rounds_in_scheme);
+
+    // Parallel over nodes; each chunk writes only its nodes' half-edges.
+    exec.parallel_for(g.num_nodes(), [&](std::int64_t begin, std::int64_t end) {
+        for (node_id v = static_cast<node_id>(begin); v < end; ++v) {
+            const double xv = load_over_speed[v];
+            const half_edge_id he_begin = g.half_edge_begin(v);
+            const half_edge_id he_end = g.half_edge_end(v);
+            if (second_order) {
+                for (half_edge_id h = he_begin; h < he_end; ++h) {
+                    const double gradient = xv - load_over_speed[g.head(h)];
+                    flows_out[h] = (beta - 1.0) * previous_flows[h] +
+                                   beta * alpha[h] * gradient;
+                }
+            } else {
+                for (half_edge_id h = he_begin; h < he_end; ++h) {
+                    const double gradient = xv - load_over_speed[g.head(h)];
+                    flows_out[h] = alpha[h] * gradient;
+                }
+            }
+        }
+    });
+}
+
+void round_node_bernoulli(const graph& g, node_id v,
+                          std::span<const double> scheduled, std::uint64_t seed,
+                          std::int64_t round, std::span<std::int64_t> flows_out)
+{
+    auto rng = stream_for(seed, static_cast<std::uint64_t>(v),
+                          static_cast<std::uint64_t>(round));
+    for (half_edge_id h = g.half_edge_begin(v); h < g.half_edge_end(v); ++h) {
+        const double yhat = scheduled[h];
+        if (yhat <= 0.0) {
+            flows_out[h] = 0;
+            continue;
+        }
+        const double floored = std::floor(yhat);
+        const double fraction = yhat - floored;
+        flows_out[h] = static_cast<std::int64_t>(floored) +
+                       (rng.next_bernoulli(fraction) ? 1 : 0);
+    }
+}
+
+/// Pre-canonical helpers, kept verbatim for round_flows_reference.
+void round_node_randomized_reference(const graph& g, node_id v,
+                                     std::span<const double> scheduled,
+                                     std::uint64_t seed, std::int64_t round,
+                                     std::span<std::int64_t> flows_out)
+{
+    const half_edge_id begin = g.half_edge_begin(v);
+    const half_edge_id end = g.half_edge_end(v);
+
+    // Pass 1: floor all outgoing flows, accumulate the excess mass r.
+    double excess = 0.0;
+    for (half_edge_id h = begin; h < end; ++h) {
+        const double yhat = scheduled[h];
+        if (yhat > 0.0) {
+            const double floored = std::floor(yhat);
+            flows_out[h] = static_cast<std::int64_t>(floored);
+            excess += yhat - floored;
+        }
+    }
+    if (excess <= 0.0) return;
+
+    // Pass 2: distribute ceil(r) candidate tokens. Each leaves the node
+    // with probability r/ceil(r); a leaving token picks the outgoing edge
+    // h with probability {Yhat_h}/r.
+    const double token_count_real = std::ceil(excess);
+    const auto token_count = static_cast<std::int64_t>(token_count_real);
+    const double send_probability = excess / token_count_real;
+
+    auto rng = stream_for(seed, static_cast<std::uint64_t>(v),
+                          static_cast<std::uint64_t>(round));
+    for (std::int64_t token = 0; token < token_count; ++token) {
+        if (!rng.next_bernoulli(send_probability)) continue;
+        // Inverse-CDF walk over the fractional parts.
+        double target = rng.next_double() * excess;
+        half_edge_id chosen = -1;
+        for (half_edge_id h = begin; h < end; ++h) {
+            const double yhat = scheduled[h];
+            if (yhat <= 0.0) continue;
+            const double fraction = yhat - std::floor(yhat);
+            if (fraction <= 0.0) continue;
+            chosen = h;
+            target -= fraction;
+            if (target <= 0.0) break;
+        }
+        // target may stay positive due to floating-point slack; the walk
+        // then lands on the last fractional edge, preserving totals.
+        if (chosen >= 0) flows_out[chosen] += 1;
+    }
+}
+
+void round_flows_reference(const graph& g, rounding_kind kind,
+                           std::span<const double> scheduled, std::uint64_t seed,
+                           std::int64_t round, std::span<std::int64_t> flows_out,
+                           executor& exec)
+{
+    if (scheduled.size() != static_cast<std::size_t>(g.num_half_edges()) ||
+        flows_out.size() != scheduled.size())
+        throw std::invalid_argument("round_flows: size mismatch");
+
+    // Owners write their outgoing half-edges only; twins are fixed after.
+    exec.parallel_for(g.num_nodes(), [&](std::int64_t chunk_begin, std::int64_t chunk_end) {
+        for (node_id v = static_cast<node_id>(chunk_begin); v < chunk_end; ++v) {
+            const half_edge_id begin = g.half_edge_begin(v);
+            const half_edge_id end = g.half_edge_end(v);
+            for (half_edge_id h = begin; h < end; ++h) flows_out[h] = 0;
+
+            switch (kind) {
+            case rounding_kind::randomized:
+                round_node_randomized_reference(g, v, scheduled, seed, round,
+                                                flows_out);
+                break;
+            case rounding_kind::floor:
+                for (half_edge_id h = begin; h < end; ++h)
+                    if (scheduled[h] > 0.0)
+                        flows_out[h] =
+                            static_cast<std::int64_t>(std::floor(scheduled[h]));
+                break;
+            case rounding_kind::nearest:
+                for (half_edge_id h = begin; h < end; ++h)
+                    if (scheduled[h] > 0.0)
+                        flows_out[h] = std::llround(scheduled[h]);
+                break;
+            case rounding_kind::bernoulli_edge:
+                round_node_bernoulli(g, v, scheduled, seed, round, flows_out);
+                break;
+            }
+        }
+    });
+
+    // Mirror pass: the negative side of each edge is minus the owner's
+    // rounded flow. Safe in parallel: each index writes only itself.
+    exec.parallel_for(g.num_half_edges(), [&](std::int64_t begin, std::int64_t end) {
+        for (half_edge_id h = begin; h < end; ++h)
+            if (scheduled[h] < 0.0) flows_out[h] = -flows_out[g.twin(h)];
+    });
+}
 
 template <class T>
 bool bytes_equal(const std::vector<T>& a, const std::vector<T>& b)
@@ -166,12 +341,14 @@ struct reference_pipeline {
     }
 };
 
-TEST(GoldenKernel, CanonicalMatchesTwoSidedKernelBitwise)
+TEST(GoldenKernel, FusedEngineMatchesFrozenOracleBitwise)
 {
     // Drive the real engine and the reference pipeline in lock-step over
-    // real trajectories: loads, scheduled flows and rounded flows must stay
-    // bit-for-bit identical on every round, for every rounding scheme, on
-    // three topology families (one heterogeneous).
+    // real trajectories: loads and rounded flows must stay bit-for-bit
+    // identical on every round, for every rounding scheme, on three
+    // topology families (one heterogeneous). The public scheduled_flows,
+    // evaluated on the oracle's pre-step state, must match the oracle's
+    // scheduled flows too.
     for (auto& tc : golden_topologies()) {
         for (const rounding_kind rounding :
              {rounding_kind::randomized, rounding_kind::floor,
@@ -189,17 +366,22 @@ TEST(GoldenKernel, CanonicalMatchesTwoSidedKernelBitwise)
             discrete_process engine(config, initial, rounding, 42);
             reference_pipeline reference(tc.g, tc.speeds, scheme, rounding, 42,
                                          initial);
+            std::vector<double> scheduled(reference.scheduled.size());
 
             for (int t = 0; t < 120; ++t) {
+                const std::vector<double> prev_before = reference.prev_dbl;
                 engine.step();
                 reference.step();
-                ASSERT_TRUE(bytes_equal(engine.load(), reference.load))
-                    << tc.name << " " << to_string(rounding) << " round " << t;
-                ASSERT_TRUE(
-                    bytes_equal(engine.last_scheduled_flows(), reference.scheduled))
-                    << tc.name << " " << to_string(rounding) << " round " << t;
+                const std::string label = tc.name + " " +
+                                          std::string(to_string(rounding)) +
+                                          " round " + std::to_string(t);
+                ASSERT_TRUE(bytes_equal(engine.load(), reference.load)) << label;
                 ASSERT_TRUE(bytes_equal(engine.previous_flows(), reference.prev_int))
-                    << tc.name << " " << to_string(rounding) << " round " << t;
+                    << label;
+                scheduled_flows(tc.g, reference.alpha, scheme, t,
+                                reference.x_over_s, prev_before, scheduled,
+                                default_executor());
+                ASSERT_TRUE(bytes_equal(scheduled, reference.scheduled)) << label;
             }
         }
     }
@@ -226,9 +408,148 @@ TEST(GoldenKernel, ChebyshevTrajectoryMatchesReferenceBitwise)
         engine.step();
         reference.step();
         ASSERT_TRUE(bytes_equal(engine.load(), reference.load)) << t;
-        ASSERT_TRUE(bytes_equal(engine.last_scheduled_flows(), reference.scheduled))
+        ASSERT_TRUE(bytes_equal(engine.previous_flows(), reference.prev_int))
             << t;
     }
+}
+
+/// The unfused public composition of one discrete round: scheduled_flows,
+/// round_flows, then the prevent clip and the apply written out plainly
+/// (an owner clipped, its twin re-mirrored; loads minus net outflow).
+struct public_composition {
+    const graph& g;
+    const diffusion_config& config;
+    rounding_kind rounding;
+    rng_version rng;
+    negative_load_policy policy;
+    std::uint64_t seed;
+
+    std::vector<std::int64_t> load;
+    std::vector<std::int64_t> prev;
+    std::vector<double> x_over_s;
+    std::vector<double> prev_dbl;
+    std::vector<double> scheduled;
+    std::vector<std::int64_t> flows;
+    std::int64_t round = 0;
+    std::int64_t clipped = 0;
+
+    public_composition(const diffusion_config& config_, rounding_kind rounding_,
+                       rng_version rng_, negative_load_policy policy_,
+                       std::uint64_t seed_, std::vector<std::int64_t> initial)
+        : g(*config_.network),
+          config(config_),
+          rounding(rounding_),
+          rng(rng_),
+          policy(policy_),
+          seed(seed_),
+          load(std::move(initial)),
+          prev(static_cast<std::size_t>(g.num_half_edges()), 0),
+          x_over_s(load.size()),
+          prev_dbl(prev.size()),
+          scheduled(prev.size()),
+          flows(prev.size())
+    {
+    }
+
+    void step()
+    {
+        for (node_id v = 0; v < g.num_nodes(); ++v)
+            x_over_s[v] = static_cast<double>(load[v]) / config.speeds.speed(v);
+        for (std::size_t h = 0; h < prev.size(); ++h)
+            prev_dbl[h] = static_cast<double>(prev[h]);
+        scheduled_flows(g, config.alpha, config.scheme, round, x_over_s,
+                        prev_dbl, scheduled, default_executor());
+        round_flows(g, rounding, scheduled, seed, round, flows,
+                    default_executor(), rng);
+        if (policy == negative_load_policy::prevent) {
+            for (node_id v = 0; v < g.num_nodes(); ++v) {
+                std::int64_t remaining = std::max<std::int64_t>(load[v], 0);
+                for (half_edge_id h = g.half_edge_begin(v);
+                     h < g.half_edge_end(v); ++h) {
+                    if (flows[h] <= 0) continue;
+                    const std::int64_t keep = std::min(flows[h], remaining);
+                    clipped += flows[h] - keep;
+                    flows[h] = keep;
+                    flows[g.twin(h)] = -keep;
+                    remaining -= keep;
+                }
+            }
+        }
+        for (node_id v = 0; v < g.num_nodes(); ++v)
+            for (half_edge_id h = g.half_edge_begin(v); h < g.half_edge_end(v);
+                 ++h)
+                load[v] -= flows[h];
+        prev = flows;
+        ++round;
+    }
+};
+
+TEST(GoldenKernel, FusedOwnerPassMatchesPublicComposition)
+{
+    // The engine computes and rounds each node's scheduled flows in one
+    // pass and clips in it too; the public kernels run the same rules as
+    // separate sweeps. Loads, previous flows and clipped-token totals must
+    // agree byte for byte on every round, for every rounding, both stream
+    // formats and both policies — serially and on 2/4-worker pools. The
+    // graphs exceed one 4096-node reduce chunk, so the pooled owner pass
+    // and apply really run concurrently.
+    struct topology {
+        std::string name;
+        graph g;
+        speed_profile speeds;
+    };
+    std::vector<topology> topologies;
+    topologies.push_back(
+        {"torus", make_torus_2d(72, 72), speed_profile::uniform(72 * 72)});
+    topologies.push_back(
+        {"star", make_star(4500), speed_profile::uniform(4500)});
+    topologies.push_back({"random_regular_bimodal",
+                          make_random_regular_cm(4800, 5, 31),
+                          speed_profile::bimodal(4800, 0.25, 4.0, 3)});
+
+    thread_pool pool2(2);
+    thread_pool pool4(4);
+    executor* const executors[] = {nullptr, &pool2, &pool4};
+    bool any_clipped = false;
+    for (const auto& tp : topologies) {
+        const diffusion_config config{
+            &tp.g, make_alpha(tp.g, alpha_policy::max_degree_plus_one),
+            tp.speeds, sos_scheme(1.7)};
+        const auto initial =
+            point_load(tp.g.num_nodes(), 0, tp.g.num_nodes() * 40LL);
+        for (const auto rng : {rng_version::v1, rng_version::v2})
+            for (const auto rounding :
+                 {rounding_kind::randomized, rounding_kind::floor,
+                  rounding_kind::nearest, rounding_kind::bernoulli_edge})
+                for (const auto policy : {negative_load_policy::allow,
+                                          negative_load_policy::prevent})
+                    for (executor* exec : executors) {
+                        discrete_process engine(config, initial, rounding, 13,
+                                                policy, exec, nullptr, rng);
+                        public_composition reference(config, rounding, rng,
+                                                     policy, 13, initial);
+                        const std::string label =
+                            tp.name + " " + std::string(to_string(rounding)) +
+                            " rng" + std::string(to_string(rng)) +
+                            (policy == negative_load_policy::prevent
+                                 ? " prevent"
+                                 : " allow") +
+                            (exec == nullptr ? " serial" : " pooled");
+                        for (int t = 0; t < 40; ++t) {
+                            engine.step();
+                            reference.step();
+                            ASSERT_TRUE(bytes_equal(engine.load(), reference.load))
+                                << label << " round " << t;
+                            ASSERT_TRUE(bytes_equal(engine.previous_flows(),
+                                                    reference.prev))
+                                << label << " round " << t;
+                            ASSERT_EQ(engine.clipped_tokens(), reference.clipped)
+                                << label << " round " << t;
+                        }
+                        any_clipped = any_clipped || reference.clipped > 0;
+                    }
+    }
+    EXPECT_TRUE(any_clipped) << "no cell exercised the prevent clip";
 }
 
 TEST(GoldenKernel, ContinuousScheduledFlowsMatchReferenceBitwise)
@@ -247,17 +568,17 @@ TEST(GoldenKernel, ContinuousScheduledFlowsMatchReferenceBitwise)
                               to_continuous(point_load(g.num_nodes(), 0, 64000)));
 
     std::vector<double> x(engine.load().begin(), engine.load().end());
-    std::vector<double> canonical(static_cast<std::size_t>(g.num_half_edges()));
-    std::vector<double> reference(canonical.size());
+    std::vector<double> production(static_cast<std::size_t>(g.num_half_edges()));
+    std::vector<double> reference(production.size());
     for (int t = 0; t < 2000; ++t) {
         engine.step();
         x.assign(engine.load().begin(), engine.load().end());
         const auto prev = engine.previous_flows();
-        scheduled_flows(g, alpha, scheme, t + 1, x, prev, canonical,
+        scheduled_flows(g, alpha, scheme, t + 1, x, prev, production,
                         default_executor());
         scheduled_flows_reference(g, alpha, scheme, t + 1, x, prev, reference,
                                   default_executor());
-        ASSERT_TRUE(bytes_equal(std::span<const double>(canonical), reference))
+        ASSERT_TRUE(bytes_equal(std::span<const double>(production), reference))
             << "round " << t;
     }
 }
@@ -638,9 +959,9 @@ TEST(GoldenDeterminism, ScratchReuseAcrossSizesMatchesFreshAllocation)
 
 TEST(GoldenDeterminism, PreventPolicyClipRepairKeepsAntisymmetry)
 {
-    // Force heavy clipping (tiny loads, aggressive SOS beta) and verify the
-    // targeted twin repair: flows stay antisymmetric, conservation holds,
-    // and serial/pooled runs agree bitwise.
+    // Force heavy clipping (tiny loads, aggressive SOS beta) and verify
+    // that the owner-side clip keeps the derived flows antisymmetric,
+    // conservation holds, and serial/pooled runs agree bitwise.
     const graph g = make_random_regular_cm(80, 4, 3);
     const auto alpha = make_alpha(g, alpha_policy::max_degree_plus_one);
     const auto speeds = speed_profile::uniform(g.num_nodes());

@@ -17,6 +17,7 @@
 #include "core/divergence.hpp"
 #include "core/metrics.hpp"
 #include "core/process.hpp"
+#include "core/scheme.hpp"
 #include "graph/generators.hpp"
 #include "linalg/spectra.hpp"
 #include "sim/initial_load.hpp"
@@ -38,15 +39,25 @@ void check_lemma2(const graph& g, scheme_params scheme, rounding_kind rounding,
     discrete_process discrete(config, initial, rounding, 99);
     continuous_process continuous(config, to_continuous(initial));
 
-    // errors[s][h] = Yhat_h(s) - y^D_h(s) for canonical half-edges.
+    // errors[s][h] = Yhat_h(s) - y^D_h(s) for canonical half-edges. Yhat(s)
+    // is the flow rule on the pre-step state (uniform speeds: x/s = x).
+    const auto half_edges = static_cast<std::size_t>(g.num_half_edges());
     std::vector<std::vector<double>> errors;
+    std::vector<double> x(static_cast<std::size_t>(g.num_nodes()));
+    std::vector<double> prev(half_edges);
+    std::vector<double> scheduled(half_edges);
     for (int s = 0; s < rounds; ++s) {
+        for (node_id v = 0; v < g.num_nodes(); ++v)
+            x[v] = static_cast<double>(discrete.load()[v]);
+        for (std::size_t h = 0; h < half_edges; ++h)
+            prev[h] = static_cast<double>(discrete.previous_flows()[h]);
+        scheduled_flows(g, config.alpha, scheme, s, x, prev, scheduled,
+                        default_executor());
         discrete.step();
         continuous.step();
-        const auto scheduled = discrete.last_scheduled_flows();
         const auto rounded = discrete.previous_flows();
-        std::vector<double> e(static_cast<std::size_t>(g.num_half_edges()), 0.0);
-        for (half_edge_id h = 0; h < g.num_half_edges(); ++h)
+        std::vector<double> e(half_edges, 0.0);
+        for (std::size_t h = 0; h < half_edges; ++h)
             e[h] = scheduled[h] - static_cast<double>(rounded[h]);
         errors.push_back(std::move(e));
     }

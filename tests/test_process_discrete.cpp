@@ -2,7 +2,10 @@
 // continuous twin, negative-load tracking, prevention policy.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 #include "core/alpha.hpp"
 #include "core/beta.hpp"
@@ -193,21 +196,61 @@ TEST(DiscreteProcess, SwitchToFosReducesImbalance)
 TEST(DiscreteProcess, ScheduledFlowIntrospection)
 {
     const graph g = make_path(3);
-    discrete_process proc(make_config(g, fos_scheme()),
-                          std::vector<std::int64_t>{9, 3, 0},
+    const diffusion_config config = make_config(g, fos_scheme());
+    discrete_process proc(config, std::vector<std::int64_t>{9, 3, 0},
                           rounding_kind::floor, 1);
+    // Yhat of the coming round, from the pre-step state (x/s = x here).
+    std::vector<double> x(proc.load().begin(), proc.load().end());
+    std::vector<double> scheduled(static_cast<std::size_t>(g.num_half_edges()));
+    scheduled_flows(g, config.alpha, config.scheme, proc.round(), x, {},
+                    scheduled, default_executor());
     proc.step();
     // FOS flows: edge (0,1): 2.0, edge (1,2): 1.0 (alpha = 1/3).
-    const auto scheduled = proc.last_scheduled_flows();
     for (half_edge_id h = g.half_edge_begin(0); h < g.half_edge_end(0); ++h) {
         if (g.head(h) == 1) {
             EXPECT_NEAR(scheduled[h], 2.0, 1e-12);
+            EXPECT_EQ(proc.previous_flows()[h], 2);
         }
     }
     // Loads after the step: 9-2=7, 3+2-1=4, 0+1=1.
     EXPECT_EQ(proc.load()[0], 7);
     EXPECT_EQ(proc.load()[1], 4);
     EXPECT_EQ(proc.load()[2], 1);
+}
+
+TEST(DiscreteProcess, RejectsAsymmetricAlphaNamingTheHalfEdge)
+{
+    // The owner pass evaluates each half-edge's flow from its own side; the
+    // two sides are exact negations only for a bitwise-symmetric alpha.
+    const graph g = make_cycle(5);
+    diffusion_config config = make_config(g, fos_scheme());
+    const half_edge_id h = g.half_edge_begin(2);
+    config.alpha[h] = std::nextafter(config.alpha[h], 1.0);
+    try {
+        discrete_process proc(config, balanced_load(5, 10),
+                              rounding_kind::randomized, 1);
+        FAIL() << "asymmetric alpha accepted";
+    } catch (const std::invalid_argument& error) {
+        // The scan reports the lower-numbered half-edge of the pair.
+        const half_edge_id first = std::min(h, g.twin(h));
+        const half_edge_id second = std::max(h, g.twin(h));
+        const std::string message = error.what();
+        EXPECT_NE(message.find("half-edge " + std::to_string(first)),
+                  std::string::npos)
+            << message;
+        EXPECT_NE(message.find("alpha[" + std::to_string(second) + "]"),
+                  std::string::npos)
+            << message;
+        EXPECT_NE(message.find("symmetric"), std::string::npos) << message;
+    }
+
+    // Bitwise: +0.0 and -0.0 compare equal but are different bits.
+    config = make_config(g, fos_scheme());
+    config.alpha[h] = 0.0;
+    config.alpha[g.twin(h)] = -0.0;
+    EXPECT_THROW(discrete_process(config, balanced_load(5, 10),
+                                  rounding_kind::floor, 1),
+                 std::invalid_argument);
 }
 
 TEST(DiscreteProcess, NegativeStatsStartAtInfinity)

@@ -166,24 +166,24 @@ TEST(RngGolden, RandomizedRoundingOutputsArePinned)
     }
 }
 
-TEST(RngGolden, OwnerPassMatchesFullRoundingOnOwnerSides)
+TEST(RngGolden, RoundFlowsMirrorsEveryOwner)
 {
-    // The engine fast path must agree with round_flows on every owner
-    // (positive-scheduled) half-edge, for both formats.
+    // round_flows writes each owner's (positive-scheduled) value and its
+    // exact negation on the twin, for both formats; zero-scheduled edges
+    // carry no flow.
     const graph g = make_torus_2d(3, 3);
     const auto scheduled = golden_scheduled(g);
-    std::vector<std::int64_t> full(scheduled.size());
-    std::vector<std::int64_t> owner(scheduled.size());
+    std::vector<std::int64_t> flows(scheduled.size());
 
     for (const rng_version version : {rng_version::v1, rng_version::v2}) {
         for (std::int64_t round = 0; round < 4; ++round) {
             round_flows(g, rounding_kind::randomized, scheduled, 42, round,
-                        full, default_executor(), version);
-            round_flows_randomized_owner(g, scheduled, 42, round, owner,
-                                         default_executor(), version);
+                        flows, default_executor(), version);
             for (half_edge_id h = 0; h < g.num_half_edges(); ++h) {
-                if (scheduled[h] > 0.0) {
-                    EXPECT_EQ(owner[h], full[h])
+                EXPECT_EQ(flows[h], -flows[g.twin(h)])
+                    << "version=" << to_string(version) << " h=" << h;
+                if (scheduled[h] == 0.0) {
+                    EXPECT_EQ(flows[h], 0)
                         << "version=" << to_string(version) << " h=" << h;
                 }
             }
