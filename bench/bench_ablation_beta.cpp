@@ -68,5 +68,5 @@ int main(int argc, char** argv)
                        transient_high <= transient_at_opt,
                    "convergence optimum sits at ~beta_opt; pushing beta to 2 "
                    "deepens negative transient load");
-    return 0;
+    return bench::exit_code();
 }

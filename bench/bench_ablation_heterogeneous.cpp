@@ -96,5 +96,5 @@ int main(int argc, char** argv)
     bench::verdict(growth < smax_growth / 2.0,
                    "twin deviation grows sub-linearly in s_max (log-like), "
                    "matching the Theorem 4/9 dependence");
-    return 0;
+    return bench::exit_code();
 }

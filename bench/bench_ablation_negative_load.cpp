@@ -79,5 +79,5 @@ int main(int argc, char** argv)
                                                            g.max_degree(), lambda),
                    "negatives appear bare, vanish with the sufficient cushion, "
                    "and respect the Theorem 11 lower bound");
-    return 0;
+    return bench::exit_code();
 }

@@ -85,5 +85,5 @@ int main(int argc, char** argv)
                    "cumulative baseline achieves the tightest balance (O(d) "
                    "deviation) at the cost of statefulness; the stateless "
                    "randomized scheme is competitive and unbiased");
-    return 0;
+    return bench::exit_code();
 }

@@ -91,5 +91,5 @@ int main(int argc, char** argv)
     bench::verdict(cheb_cross <= sos_cross * 5 / 4 && sos_cross * 3 < fos_cross &&
                        fos_cross <= matching_cross,
                    "Chebyshev ~ SOS << FOS <= matching in convergence rounds");
-    return 0;
+    return bench::exit_code();
 }

@@ -7,6 +7,8 @@
 //   --rounds N    override the round budget
 //   --seed S      override the RNG seed
 // and prints a compact "paper expectation vs measured" summary to stdout.
+// main returns exit_code(): nonzero once any verdict found a mismatch, so
+// ctest (label `paper`) gates on the paper's qualitative claims.
 #ifndef DLB_BENCH_COMMON_HPP
 #define DLB_BENCH_COMMON_HPP
 
@@ -73,11 +75,16 @@ inline void compare_row(const std::string& what, double paper, double measured)
               << measured << "\n";
 }
 
+inline bool shape_mismatch = false; // set by the first failed verdict
+
 inline void verdict(bool shape_holds, const std::string& detail)
 {
+    if (!shape_holds) shape_mismatch = true;
     std::cout << (shape_holds ? "[SHAPE HOLDS] " : "[SHAPE MISMATCH] ") << detail
               << "\n";
 }
+
+inline int exit_code() { return shape_mismatch ? 1 : 0; }
 
 } // namespace dlb::bench
 

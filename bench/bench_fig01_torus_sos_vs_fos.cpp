@@ -57,5 +57,5 @@ int main(int argc, char** argv)
     bench::verdict(sos_cross * 3 < fos_cross &&
                        sos.max_minus_average.back() < 30.0,
                    "SOS converges >3x faster; SOS plateau is a small constant");
-    return 0;
+    return bench::exit_code();
 }

@@ -42,5 +42,5 @@ int main(int argc, char** argv)
     bench::verdict(spread < 10.0,
                    "remaining imbalance is insensitive to the initial volume "
                    "(spread " + format_double(spread) + " tokens)");
-    return 0;
+    return bench::exit_code();
 }

@@ -56,5 +56,5 @@ int main(int argc, char** argv)
     bench::verdict(sos_floor > sos_ideal_end && sos_floor < 40.0,
                    "discrete floors are small constants while the idealized "
                    "SOS curve decays below them");
-    return 0;
+    return bench::exit_code();
 }

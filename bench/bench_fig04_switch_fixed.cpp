@@ -40,5 +40,5 @@ int main(int argc, char** argv)
                            series.max_minus_average.back() <= 10.0,
                        "post-switch imbalance collapses to single digits");
     }
-    return 0;
+    return bench::exit_code();
 }

@@ -47,5 +47,5 @@ int main(int argc, char** argv)
     bench::verdict(switched.max_minus_average.back() <
                        sos_only.max_minus_average.back(),
                    "switching to FOS drops the remaining imbalance");
-    return 0;
+    return bench::exit_code();
 }

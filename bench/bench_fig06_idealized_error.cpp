@@ -48,5 +48,5 @@ int main(int argc, char** argv)
     bench::verdict(worst_error / total < 1e-6 &&
                        discrete.total_load_error.back() == 0.0,
                    "idealized FP drift negligible; discrete conservation exact");
-    return 0;
+    return bench::exit_code();
 }

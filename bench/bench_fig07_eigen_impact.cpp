@@ -74,5 +74,5 @@ int main(int argc, char** argv)
                        last_max < 50.0,
                    "slowest eigenspace leads during a mid-run window, then "
                    "the impact decays into rounding noise");
-    return 0;
+    return bench::exit_code();
 }

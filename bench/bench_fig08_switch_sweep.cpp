@@ -51,5 +51,5 @@ int main(int argc, char** argv)
                               sos_only.max_minus_average.back();
     bench::verdict(all_beat_sos && spread <= 5.0,
                    "switch round barely matters; every switch beats SOS-only");
-    return 0;
+    return bench::exit_code();
 }

@@ -74,5 +74,5 @@ int main(int argc, char** argv)
                                 1200.0 * scale) < 400.0 * scale,
                    "center node first receives load near the scaled paper "
                    "collapse round");
-    return 0;
+    return bench::exit_code();
 }

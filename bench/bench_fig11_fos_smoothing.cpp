@@ -79,5 +79,5 @@ int main(int argc, char** argv)
                        after_fos.above_average_10 == 0 &&
                        after_fos.max_above_average < after_sos.max_above_average,
                    "FOS smoothing removes the SOS residual noise (Figure 11)");
-    return 0;
+    return bench::exit_code();
 }

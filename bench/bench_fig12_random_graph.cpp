@@ -100,5 +100,5 @@ int main(int argc, char** argv)
                                        fos_result.final_max_minus_average) <= 3.0;
     bench::verdict(sos_not_slower && same_plateau,
                    "limited SOS advantage; matching remaining imbalance");
-    return 0;
+    return bench::exit_code();
 }

@@ -62,5 +62,5 @@ int main(int argc, char** argv)
                            sos.max_minus_average.back() + 0.5,
                    "negligible SOS/FOS difference on the hypercube, FOS floor "
                    "slightly lower");
-    return 0;
+    return bench::exit_code();
 }

@@ -66,5 +66,5 @@ int main(int argc, char** argv)
                        switched.max_minus_average.back() <=
                            sos.max_minus_average.back() + 1.0,
                    "torus-like SOS advantage on the RGG; switching helps");
-    return 0;
+    return bench::exit_code();
 }

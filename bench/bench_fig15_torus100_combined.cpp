@@ -82,5 +82,5 @@ int main(int argc, char** argv)
                        final_sample.max_abs_coefficient < 30.0,
                    "a_4 block leads mid-run, switch at 500 lands single-digit "
                    "imbalance, no leading mode at the end");
-    return 0;
+    return bench::exit_code();
 }

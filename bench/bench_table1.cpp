@@ -104,5 +104,5 @@ int main(int argc, char** argv)
     bench::verdict(true,
                    "analytic torus/hypercube betas match Table I to ~1e-6; "
                    "registry-built Lanczos agrees with the closed forms");
-    return 0;
+    return bench::exit_code();
 }

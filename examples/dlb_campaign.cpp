@@ -161,33 +161,29 @@ void print_usage(std::ostream& out)
            "                         all agree) before trusting the rows\n"
            "  --quiet                suppress per-scenario progress on stderr\n"
            "  --dry-run              expand and list scenarios, run nothing\n"
-           "  --list                 print registered topologies, load\n"
-           "                         patterns and workloads, then exit\n"
+           "  --list                 print the accepted names of every\n"
+           "                         enum field, then exit\n"
            "fields:";
     for (const auto& field : campaign::field_names()) out << " " << field;
-    out << "\ntopologies:";
-    for (const auto& name : campaign::topology_names()) out << " " << name;
-    out << "\nload patterns:";
-    for (const auto& name : campaign::load_pattern_names()) out << " " << name;
-    out << "\nworkloads:";
-    for (const auto& name : campaign::workload_names()) out << " " << name;
+    for (const auto& [field, names] : campaign::value_names()) {
+        out << "\n" << field << ":";
+        for (const auto& name : names) out << " " << name;
+    }
     out << "\nsee docs/campaign-specs.md for the full reference\n";
 }
 
 // Registry dump for scripts (and for keeping docs honest: the names printed
-// here come from the same tables the executor resolves against).
+// here are the lists expand() checks and the executor resolves against).
 void print_registry(std::ostream& out)
 {
-    out << "topologies:\n";
-    for (const auto& name : campaign::topology_names())
-        out << "  " << name << (campaign::topology_uses_seed(name)
-                                    ? "  (seed-dependent)\n"
-                                    : "\n");
-    out << "load patterns:\n";
-    for (const auto& name : campaign::load_pattern_names())
-        out << "  " << name << "\n";
-    out << "workloads:\n";
-    for (const auto& name : campaign::workload_names()) out << "  " << name << "\n";
+    for (const auto& [field, names] : campaign::value_names()) {
+        out << field << ":\n";
+        for (const auto& name : names)
+            out << "  " << name
+                << (field == "topology" && campaign::topology_uses_seed(name)
+                        ? "  (seed-dependent)\n"
+                        : "\n");
+    }
 }
 
 // Every report is written through write_file_atomic: a reader (or a peer

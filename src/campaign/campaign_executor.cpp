@@ -1,6 +1,7 @@
 #include "campaign/campaign_executor.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cmath>
 #include <filesystem>
@@ -44,16 +45,22 @@ constexpr std::uint64_t kWorkloadStream = 0x776b6c64;
 // under mix64(seed, kWindowStream, k), giving independent tail replicas.
 constexpr std::uint64_t kWindowStream = 0x776e6477;
 
+// The resolvers read their vocabulary from the registry's value_names():
+// enum fields map a name through its index there, and speeds, switch and
+// scheme look the name up there before branching on it. An unknown name
+// (only a programmatic spec can carry one past expand()) throws with the
+// accepted names and becomes the scenario's error row.
+
 alpha_policy resolve_alpha(const scenario_spec& spec)
 {
-    if (spec.alpha == "max_degree_plus_one")
-        return alpha_policy::max_degree_plus_one;
-    if (spec.alpha == "uniform_gamma_d") return alpha_policy::uniform_gamma_d;
-    throw std::invalid_argument("unknown alpha policy '" + spec.alpha + "'");
+    constexpr std::array kinds = {alpha_policy::max_degree_plus_one,
+                                  alpha_policy::uniform_gamma_d};
+    return kinds.at(value_index("alpha", spec.alpha));
 }
 
 speed_profile resolve_speeds(const scenario_spec& spec, node_id n)
 {
+    value_index("speeds", spec.speeds); // rejects an unknown name
     if (spec.speeds == "uniform") return speed_profile::uniform(n);
     const std::uint64_t seed = mix64(spec.seed, kSpeedStream);
     if (spec.speeds == "bimodal") {
@@ -61,36 +68,32 @@ speed_profile resolve_speeds(const scenario_spec& spec, node_id n)
         const double fast = spec.speed_value >= 1.0 ? spec.speed_value : 4.0;
         return speed_profile::bimodal(n, fraction, fast, seed);
     }
-    if (spec.speeds == "zipf") {
-        const double exponent = spec.speed_shape > 0.0 ? spec.speed_shape : 1.0;
-        const double s_max = spec.speed_value >= 1.0 ? spec.speed_value : 8.0;
-        return speed_profile::zipf(n, exponent, s_max, seed);
-    }
-    throw std::invalid_argument("unknown speed profile '" + spec.speeds + "'");
+    const double exponent = spec.speed_shape > 0.0 ? spec.speed_shape : 1.0;
+    const double s_max = spec.speed_value >= 1.0 ? spec.speed_value : 8.0;
+    return speed_profile::zipf(n, exponent, s_max, seed);
 }
 
 rounding_kind resolve_rounding(const scenario_spec& spec)
 {
-    if (spec.rounding == "randomized") return rounding_kind::randomized;
-    if (spec.rounding == "floor") return rounding_kind::floor;
-    if (spec.rounding == "nearest") return rounding_kind::nearest;
-    if (spec.rounding == "bernoulli_edge") return rounding_kind::bernoulli_edge;
-    throw std::invalid_argument("unknown rounding '" + spec.rounding + "'");
+    constexpr std::array kinds = {rounding_kind::randomized,
+                                  rounding_kind::floor, rounding_kind::nearest,
+                                  rounding_kind::bernoulli_edge};
+    return kinds.at(value_index("rounding", spec.rounding));
 }
 
 process_kind resolve_process(const scenario_spec& spec)
 {
-    if (spec.process == "discrete") return process_kind::discrete;
-    if (spec.process == "continuous") return process_kind::continuous;
-    if (spec.process == "cumulative") return process_kind::cumulative;
-    throw std::invalid_argument("unknown process '" + spec.process + "'");
+    constexpr std::array kinds = {process_kind::discrete,
+                                  process_kind::continuous,
+                                  process_kind::cumulative};
+    return kinds.at(value_index("process", spec.process));
 }
 
 negative_load_policy resolve_policy(const scenario_spec& spec)
 {
-    if (spec.policy == "allow") return negative_load_policy::allow;
-    if (spec.policy == "prevent") return negative_load_policy::prevent;
-    throw std::invalid_argument("unknown policy '" + spec.policy + "'");
+    constexpr std::array kinds = {negative_load_policy::allow,
+                                  negative_load_policy::prevent};
+    return kinds.at(value_index("policy", spec.policy));
 }
 
 // set_field validates eagerly, but programmatic specs can hold anything;
@@ -140,15 +143,14 @@ std::string lambda_cache_key(const scenario_spec& spec)
 
 switch_policy resolve_switching(const scenario_spec& spec)
 {
+    value_index("switch", spec.switch_mode); // rejects an unknown name
     if (spec.switch_mode == "never") return switch_policy::never();
     if (spec.switch_mode == "at_round")
         return switch_policy::at(
             static_cast<std::int64_t>(std::llround(spec.switch_value)));
     if (spec.switch_mode == "local")
         return switch_policy::when_local_below(spec.switch_value);
-    if (spec.switch_mode == "global")
-        return switch_policy::when_global_below(spec.switch_value);
-    throw std::invalid_argument("unknown switch mode '" + spec.switch_mode + "'");
+    return switch_policy::when_global_below(spec.switch_value);
 }
 
 workload_spec workload_of(const scenario_spec& spec)
@@ -201,6 +203,7 @@ resolved_scenario resolve_scenario(const scenario_spec& spec, graph_cache& cache
 
     // Relaxation parameter: explicit beta wins; otherwise SOS and
     // Chebyshev derive it from the computed lambda (Table I pipeline).
+    value_index("scheme", spec.scheme); // rejects an unknown name
     if (spec.scheme == "fos") {
         diffusion.scheme = fos_scheme();
         out.beta = 1.0;
@@ -211,12 +214,10 @@ resolved_scenario resolve_scenario(const scenario_spec& spec, graph_cache& cache
             out.beta = beta_opt(out.lambda);
         }
         diffusion.scheme = sos_scheme(out.beta);
-    } else if (spec.scheme == "chebyshev") {
+    } else { // chebyshev
         out.lambda = lambda_of();
         diffusion.scheme = chebyshev_scheme(out.lambda);
         out.beta = beta_opt(out.lambda);
-    } else {
-        throw std::invalid_argument("unknown scheme '" + spec.scheme + "'");
     }
 
     // The versioned stream format reaches every randomized consumer: the

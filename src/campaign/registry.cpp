@@ -157,13 +157,35 @@ graph build_topology(const std::string& family, std::int64_t nodes,
     return entry->build(nodes, param, seed);
 }
 
-const std::vector<std::string>& load_pattern_names()
+const std::map<std::string, std::vector<std::string>>& value_names()
 {
-    static const std::vector<std::string> names = {
-        "point",   "balanced", "random",
-        "wavefront", "bimodal",  "adversarial_corner",
+    static const std::map<std::string, std::vector<std::string>> names = {
+        {"topology", topology_names()},
+        {"load", {"point", "balanced", "random", "wavefront", "bimodal",
+                  "adversarial_corner"}},
+        {"workload", {"static", "poisson", "burst", "drain"}},
+        {"alpha", {"max_degree_plus_one", "uniform_gamma_d"}},
+        {"speeds", {"uniform", "bimodal", "zipf"}},
+        {"scheme", {"fos", "sos", "chebyshev"}},
+        {"process", {"discrete", "continuous", "cumulative"}},
+        {"rounding", {"randomized", "floor", "nearest", "bernoulli_edge"}},
+        {"policy", {"allow", "prevent"}},
+        {"switch", {"never", "at_round", "local", "global"}},
     };
     return names;
+}
+
+std::size_t value_index(const std::string& field, const std::string& value)
+{
+    const std::vector<std::string>& names = value_names().at(field);
+    const auto found = std::find(names.begin(), names.end(), value);
+    if (found != names.end())
+        return static_cast<std::size_t>(found - names.begin());
+    std::string accepted;
+    for (const std::string& name : names)
+        accepted += (accepted.empty() ? "" : ", ") + name;
+    throw std::invalid_argument("unknown " + field + " '" + value +
+                                "' (one of: " + accepted + ")");
 }
 
 std::vector<std::int64_t> build_initial_load(const std::string& pattern,

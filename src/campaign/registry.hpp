@@ -13,7 +13,9 @@
 #ifndef DLB_CAMPAIGN_REGISTRY_HPP
 #define DLB_CAMPAIGN_REGISTRY_HPP
 
+#include <cstddef>
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -45,9 +47,6 @@ bool topology_uses_seed(const std::string& family);
 graph build_topology(const std::string& family, std::int64_t nodes,
                      double param, std::uint64_t seed);
 
-/// Registered initial-load pattern names.
-const std::vector<std::string>& load_pattern_names();
-
 /// Builds the named pattern over n nodes with exactly tokens_per_node * n
 /// total tokens. Patterns:
 ///   point              — everything on node 0 (the paper's default)
@@ -64,6 +63,19 @@ std::vector<std::int64_t> build_initial_load(const std::string& pattern,
                                              std::int64_t tokens_per_node,
                                              std::uint64_t seed,
                                              rng_version version = default_rng_version);
+
+/// The accepted names of every enum-valued scenario field, keyed by field
+/// name, each list in canonical order: "topology" (topology_names()),
+/// "load" (the patterns build_initial_load takes), "workload" (the models
+/// make_workload takes), and "alpha", "speeds", "scheme", "process",
+/// "rounding", "policy" and "switch", which the executor's resolvers read.
+/// expand() checks spec values against these lists; tools/spec_lint.py
+/// mirrors them and its --check-tables compares both ways.
+const std::map<std::string, std::vector<std::string>>& value_names();
+
+/// Position of `value` in value_names().at(field). Throws
+/// std::invalid_argument naming the field and listing its accepted names.
+std::size_t value_index(const std::string& field, const std::string& value);
 
 } // namespace dlb::campaign
 

@@ -1,11 +1,13 @@
 #include "campaign/spec.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <istream>
 #include <sstream>
 #include <stdexcept>
 
+#include "campaign/registry.hpp"
 #include "util/csv.hpp" // format_double
 #include "util/parse.hpp"
 
@@ -38,6 +40,32 @@ double parse_double(const std::string& key, const std::string& value)
     return parse_full_double(value, "spec: bad number for " + key);
 }
 
+// The member holding each name-valued field (the keys of
+// registry::value_names()); null for numeric fields and unknown keys.
+std::string scenario_spec::*name_member(const std::string& key)
+{
+    if (key == "topology") return &scenario_spec::topology;
+    if (key == "alpha") return &scenario_spec::alpha;
+    if (key == "speeds") return &scenario_spec::speeds;
+    if (key == "scheme") return &scenario_spec::scheme;
+    if (key == "process") return &scenario_spec::process;
+    if (key == "rounding") return &scenario_spec::rounding;
+    if (key == "policy") return &scenario_spec::policy;
+    if (key == "switch") return &scenario_spec::switch_mode;
+    if (key == "load") return &scenario_spec::load_pattern;
+    if (key == "workload") return &scenario_spec::workload;
+    return nullptr;
+}
+
+// A linear scan of `names`; value_index is reached only to throw its
+// message naming the field and the accepted names.
+void check_name(const std::string& field,
+                const std::vector<std::string>& names, const std::string& value)
+{
+    if (std::find(names.begin(), names.end(), value) == names.end())
+        value_index(field, value);
+}
+
 } // namespace
 
 const std::vector<std::string>& field_names()
@@ -58,7 +86,7 @@ const std::vector<std::string>& field_names()
 void set_field(scenario_spec& spec, const std::string& key,
                const std::string& value)
 {
-    if (key == "topology") spec.topology = value;
+    if (const auto member = name_member(key)) spec.*member = value;
     else if (key == "nodes") spec.nodes = parse_int(key, value);
     else if (key == "topology_param") {
         // Reject NaN/inf eagerly: a non-finite param corrupts the ordered
@@ -69,21 +97,12 @@ void set_field(scenario_spec& spec, const std::string& key,
                 "spec: topology_param must be finite, got '" + value + "'");
         spec.topology_param = parsed;
     }
-    else if (key == "alpha") spec.alpha = value;
     else if (key == "alpha_gamma") spec.alpha_gamma = parse_double(key, value);
-    else if (key == "speeds") spec.speeds = value;
     else if (key == "speed_value") spec.speed_value = parse_double(key, value);
     else if (key == "speed_shape") spec.speed_shape = parse_double(key, value);
-    else if (key == "scheme") spec.scheme = value;
     else if (key == "beta") spec.beta = parse_double(key, value);
-    else if (key == "process") spec.process = value;
-    else if (key == "rounding") spec.rounding = value;
-    else if (key == "policy") spec.policy = value;
-    else if (key == "switch") spec.switch_mode = value;
     else if (key == "switch_value") spec.switch_value = parse_double(key, value);
-    else if (key == "load") spec.load_pattern = value;
     else if (key == "tokens_per_node") spec.tokens_per_node = parse_int(key, value);
-    else if (key == "workload") spec.workload = value;
     else if (key == "workload_rate") spec.workload_rate = parse_double(key, value);
     else if (key == "workload_amount")
         spec.workload_amount = parse_int(key, value);
@@ -105,24 +124,15 @@ void set_field(scenario_spec& spec, const std::string& key,
 
 std::string get_field(const scenario_spec& spec, const std::string& key)
 {
-    if (key == "topology") return spec.topology;
+    if (const auto member = name_member(key)) return spec.*member;
     if (key == "nodes") return std::to_string(spec.nodes);
     if (key == "topology_param") return format_double(spec.topology_param);
-    if (key == "alpha") return spec.alpha;
     if (key == "alpha_gamma") return format_double(spec.alpha_gamma);
-    if (key == "speeds") return spec.speeds;
     if (key == "speed_value") return format_double(spec.speed_value);
     if (key == "speed_shape") return format_double(spec.speed_shape);
-    if (key == "scheme") return spec.scheme;
     if (key == "beta") return format_double(spec.beta);
-    if (key == "process") return spec.process;
-    if (key == "rounding") return spec.rounding;
-    if (key == "policy") return spec.policy;
-    if (key == "switch") return spec.switch_mode;
     if (key == "switch_value") return format_double(spec.switch_value);
-    if (key == "load") return spec.load_pattern;
     if (key == "tokens_per_node") return std::to_string(spec.tokens_per_node);
-    if (key == "workload") return spec.workload;
     if (key == "workload_rate") return format_double(spec.workload_rate);
     if (key == "workload_amount") return std::to_string(spec.workload_amount);
     if (key == "workload_period") return std::to_string(spec.workload_period);
@@ -140,6 +150,8 @@ std::string scenario_label(const scenario_spec& spec)
     if (spec.load_pattern != "point") label += "-" + spec.load_pattern;
     if (spec.workload != "static") label += "-" + spec.workload;
     if (spec.switch_mode != "never") label += "-sw_" + spec.switch_mode;
+    if (spec.speeds != "uniform") label += "-" + spec.speeds;
+    if (spec.policy == "prevent") label += "-prevent";
     if (spec.rng_version != 1) label += "-rng" + std::to_string(spec.rng_version);
     label += "-s" + std::to_string(spec.seed);
     return label;
@@ -162,10 +174,20 @@ std::vector<scenario_spec> expand(const campaign_spec& spec)
 {
     const std::int64_t count = spec.expected_count();
 
-    // Validate axis field names up front so a typo fails before any work.
+    // Validate axis field names up front, and every name a scenario will
+    // carry (each swept value, else the base value) once, so a typo fails
+    // before any work.
     for (const auto& [key, values] : spec.axes) {
         scenario_spec probe = spec.base;
         set_field(probe, key, values.front());
+    }
+    for (const auto& [field, names] : value_names()) {
+        const auto axis = spec.axes.find(field);
+        if (axis == spec.axes.end())
+            check_name(field, names, spec.base.*name_member(field));
+        else
+            for (const std::string& value : axis->second)
+                check_name(field, names, value);
     }
 
     std::vector<scenario_spec> out;

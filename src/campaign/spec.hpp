@@ -20,8 +20,9 @@
 namespace dlb::campaign {
 
 /// One experiment, fully described by value. String fields name entries in
-/// the scenario registry (campaign/registry) and are validated when the
-/// scenario is resolved into engines, not when the spec is built.
+/// the scenario registry (campaign/registry::value_names()); expand()
+/// checks them once per campaign, and a programmatic spec that bypasses it
+/// fails when the scenario is resolved into engines.
 struct scenario_spec {
     // Topology (registry families; `nodes` is a target some families round
     // to the nearest realizable size, e.g. torus -> square side).
@@ -80,8 +81,10 @@ void set_field(scenario_spec& spec, const std::string& key,
 /// The current string form of one field (inverse of set_field).
 std::string get_field(const scenario_spec& spec, const std::string& key);
 
-/// Compact human-readable tag, e.g. "torus-n1024-sos-randomized-point-s1".
-/// Not guaranteed unique across every axis; pair with the scenario index.
+/// Compact human-readable tag, e.g. "torus-n1024-sos-randomized-s1"; each
+/// non-default process, load, workload, switch mode, speed profile,
+/// `prevent` policy and rng_version adds a tag. Not guaranteed unique
+/// across every axis (numeric knobs are omitted); pair with the index.
 std::string scenario_label(const scenario_spec& spec);
 
 /// A base scenario plus Cartesian sweep axes (field name -> values). Axes
@@ -97,7 +100,9 @@ struct campaign_spec {
 };
 
 /// Expands the sweep into a concrete scenario list. Throws on empty axes,
-/// unknown axis fields, or expansions above 1e6 scenarios.
+/// unknown axis fields, a name outside registry::value_names() that a
+/// scenario would carry (a swept value, else the base value), or
+/// expansions above 1e6 scenarios.
 std::vector<scenario_spec> expand(const campaign_spec& spec);
 
 /// Stable FNV-1a hash over the campaign's canonical serialization (name,

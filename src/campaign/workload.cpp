@@ -106,13 +106,6 @@ private:
 
 } // namespace
 
-const std::vector<std::string>& workload_names()
-{
-    static const std::vector<std::string> names = {"static", "poisson", "burst",
-                                                   "drain"};
-    return names;
-}
-
 std::unique_ptr<workload_hook> make_workload(const workload_spec& spec,
                                              node_id nodes, std::uint64_t seed,
                                              rng_version version)

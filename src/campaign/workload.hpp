@@ -36,9 +36,6 @@ struct workload_spec {
     std::int64_t period = 0;     // burst: rounds between bursts (>= 1)
 };
 
-/// Registered workload model names.
-const std::vector<std::string>& workload_names();
-
 /// Builds the hook for `spec` over `nodes` nodes. Returns null for "static"
 /// (run_experiment treats a null workload as the classic static setting).
 /// `version` selects the per-(seed, round) stream format the model draws

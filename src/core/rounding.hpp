@@ -43,6 +43,7 @@ enum class rounding_kind {
     bernoulli_edge, // independent per-edge randomized rounding
 };
 
+/// The kind's spec-field spelling, the same name `rounding = ...` takes.
 std::string_view to_string(rounding_kind kind) noexcept;
 
 /// Rounds scheduled flows to integer flows with the chosen scheme.

@@ -1,6 +1,6 @@
-// Fixture: deterministic code plus near-misses the linter must NOT flag —
+// Fixture: deterministic code plus near-misses the analyzer must NOT flag —
 // banned names in comments, strings, and as identifier substrings.
-// (no lint-expect lines: this file is clean)
+// (no expectation lines: this file is clean)
 #include <cstdint>
 #include <map>
 #include <string>
@@ -18,4 +18,10 @@ std::int64_t report_total(const std::map<std::string, std::int64_t>& rows)
     for (const auto& [name, value] : rows) total += value; // ordered: fine
     const double elapsed = wall_time(2.0); // identifier ends in "time"
     return total + static_cast<std::int64_t>(elapsed);
+}
+
+// A pointer *value* is fine; only a pointer key orders by address.
+std::size_t count_names(const std::map<int, const std::string*>& by_id)
+{
+    return by_id.size();
 }

@@ -5,12 +5,14 @@
 #include <filesystem>
 #include <fstream>
 #include <numeric>
+#include <set>
 #include <sstream>
 
 #include "campaign/campaign_executor.hpp"
 #include "campaign/registry.hpp"
 #include "campaign/report.hpp"
 #include "campaign/spec.hpp"
+#include "core/rounding.hpp"
 #include "graph/algorithms.hpp"
 
 namespace dlb {
@@ -89,6 +91,80 @@ TEST(CampaignSpec, RngVersionTagsLabelOnlyForV2)
         << "v1 labels must stay byte-identical to pre-version builds";
     spec.rng_version = 2;
     EXPECT_NE(scenario_label(spec).find("-rng2"), std::string::npos);
+}
+
+TEST(CampaignSpec, SpeedsAndPreventTagLabels)
+{
+    // Uniform speeds under `allow` keep their exact label bytes; every other
+    // speeds x policy cell is tagged, so the four labels differ.
+    scenario_spec spec;
+    EXPECT_EQ(scenario_label(spec), "torus-n1024-sos-randomized-s1");
+    std::set<std::string> labels;
+    for (const char* speeds : {"uniform", "bimodal"})
+        for (const char* policy : {"allow", "prevent"}) {
+            spec.speeds = speeds;
+            spec.policy = policy;
+            labels.insert(scenario_label(spec));
+        }
+    EXPECT_EQ(labels.size(), 4u);
+    EXPECT_EQ(labels.count("torus-n1024-sos-randomized-bimodal-prevent-s1"),
+              1u);
+}
+
+TEST(CampaignSpec, ExpansionRejectsUnknownNamesNamingTheField)
+{
+    const auto rejection = [](const campaign_spec& spec) -> std::string {
+        try {
+            expand(spec);
+        } catch (const std::invalid_argument& rejected) {
+            return rejected.what();
+        }
+        return "accepted";
+    };
+    campaign_spec spec;
+    spec.base.rounding = "bernoulli-edge";
+    EXPECT_EQ(rejection(spec),
+              "unknown rounding 'bernoulli-edge' (one of: randomized, floor, "
+              "nearest, bernoulli_edge)");
+
+    spec.base.rounding = "randomized";
+    spec.axes["scheme"] = {"fos", "chebychev"};
+    EXPECT_EQ(rejection(spec),
+              "unknown scheme 'chebychev' (one of: fos, sos, chebyshev)");
+
+    // Every accepted name of every field expands, and an unknown base
+    // value of every field is refused naming that field.
+    for (const auto& [field, names] : value_names()) {
+        spec.axes = {{field, names}};
+        EXPECT_EQ(rejection(spec), "accepted") << field;
+        spec.axes.clear();
+        campaign_spec typo = spec;
+        set_field(typo.base, field, "typo");
+        EXPECT_EQ(rejection(typo).rfind("unknown " + field + " 'typo'", 0), 0u)
+            << rejection(typo);
+    }
+}
+
+TEST(CampaignExecutor, EveryAcceptedNameResolves)
+{
+    // The resolvers read value_names(): a listed name must never become an
+    // error row (small sizes, so every topology family builds).
+    for (const auto& [field, names] : value_names())
+        for (const std::string& name : names) {
+            scenario_spec spec;
+            spec.nodes = 16;
+            spec.rounds = 4;
+            spec.tokens_per_node = 10;
+            spec.workload_period = 2; // burst's knob; the others ignore it
+            set_field(spec, field, name);
+            const auto result = run_one(spec);
+            EXPECT_TRUE(result.error.empty())
+                << field << " = " << name << ": " << result.error;
+        }
+    // The rounding list follows rounding_kind's order and spelling.
+    const auto& roundings = value_names().at("rounding");
+    for (std::size_t k = 0; k < roundings.size(); ++k)
+        EXPECT_EQ(to_string(static_cast<rounding_kind>(k)), roundings[k]);
 }
 
 TEST(CampaignSpec, ExpansionCountIsAxisProduct)
@@ -210,7 +286,7 @@ TEST(CampaignRegistry, EveryLoadPatternConservesTotal)
 {
     const node_id n = 50;
     const std::int64_t per_node = 10;
-    for (const auto& pattern : load_pattern_names()) {
+    for (const auto& pattern : value_names().at("load")) {
         const auto load = build_initial_load(pattern, n, per_node, 123);
         ASSERT_EQ(load.size(), static_cast<std::size_t>(n)) << pattern;
         EXPECT_EQ(std::accumulate(load.begin(), load.end(), std::int64_t{0}),

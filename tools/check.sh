@@ -1,6 +1,6 @@
 #!/usr/bin/env sh
-# Unified static-check entry point: determinism lint, spec lint, and the
-# contract analyzer (each with its self-test), one exit code. This is the
+# Unified static-check entry point: the spec linter and the contract
+# analyzer (each with its self-test), one exit code. This is the
 # exact command the CI contract-analyzer job and the docs/correctness.md
 # gate table reference:
 #
@@ -19,10 +19,6 @@ run() {
     printf '== %s\n' "$*"
     "$@" || status=1
 }
-
-run "$python" "$root/tools/determinism_lint.py" --root "$root/src"
-run "$python" "$root/tools/determinism_lint.py" \
-    --self-test "$root/tests/lint_fixtures"
 
 run "$python" "$root/tools/spec_lint.py" --check-tables "$root/src" \
     "$root"/specs/*.spec

@@ -4,7 +4,7 @@
     python3 tools/dlb_analyzer --self-test tests/analyzer_fixtures
 
 Exit codes: 0 clean, 1 findings (or self-test mismatch), 2 usage/environment
-error. Mirrors tools/determinism_lint.py so tools/check.sh can aggregate.
+error, the convention tools/check.sh aggregates.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ if __package__ in (None, ""):
     sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 import frontend_lite
-import rules as rules_mod
 from model import SOURCE_SUFFIXES, FileFacts
 from rules import apply_allows, apply_baseline, run_rules
 
@@ -163,8 +162,9 @@ def self_test(args) -> int:
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(
         prog="dlb_analyzer",
-        description="AST-level contract analyzer: atomic-write, "
-                    "sync-wrapper, rng-contract, nondet-reduce")
+        description="static contract analyzer: atomic-write, "
+                    "sync-wrapper, rng-contract, nondet-reduce, clock, "
+                    "unordered, ptr-key")
     ap.add_argument("--root", default="src",
                     help="directory to analyze, relative to --base "
                          "(default: src)")

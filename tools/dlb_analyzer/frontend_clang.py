@@ -3,7 +3,7 @@
 The AST supplies what tokens can't: real function definitions and their
 callee sets (the atomic-write call graph), type-checked write sites, and
 float-typed compound assignments inside lambdas. The purely lexical facts
-(sync/rng token uses, mutex members, guard associations, allow comments)
+(banned-token uses, mutex members, guard associations, allow comments)
 come from the lite scanner for both frontends, so the two differ only where
 the AST is strictly more precise; rules.py dedups findings by
 (file, line, rule), which keeps the merged view stable.

@@ -1,13 +1,13 @@
 """Dependency-free structural C++ frontend.
 
 Not a real parser — a tokenizer plus a brace tree plus a function-header
-back-scan, which is exactly enough structure for the four contract rules:
-function spans (for the atomic-write call graph), class member lists (for
-the sync-wrapper completeness check), lambda bodies in parallel-submission
-argument position (for nondet-reduce), and comment/string-aware token scans
-(for the banned-construct rules). Where C++ is ambiguous the scans err
-toward *not* reporting; the fixture corpus pins the supported shapes, and
-the libclang frontend is the authoritative walk in CI.
+back-scan, which is exactly enough structure for the rules: function spans
+(for the atomic-write call graph), class member lists (for the sync-wrapper
+completeness check), lambda bodies in parallel-submission argument position
+(for nondet-reduce), and comment/string-aware token scans (for the
+banned-construct rules; the libclang frontend reuses these). Where C++ is
+ambiguous the scans err toward *not* reporting; the fixture corpus pins the
+supported shapes, and the libclang frontend is the authoritative walk in CI.
 """
 
 from __future__ import annotations
@@ -47,6 +47,16 @@ SYNC_TYPES = {
 # splitmix64's finalizer constants: arithmetic "on (seed, node, round) words"
 # outside util/rng.hpp is exactly someone re-deriving a stream by hand.
 RNG_MAGIC = {"0x9e3779b97f4a7c15", "0xbf58476d1ce4e5b9", "0x94d049bb133111eb"}
+
+# Determinism hazards that are single identifiers: ambient clock reads,
+# hash-order containers, pointer-keyed ordered containers (checked for a
+# `*`-terminated key type), and ambient entropy / process-state calls.
+CLOCK_IDS = {"steady_clock", "system_clock", "high_resolution_clock",
+             "clock_gettime", "gettimeofday"}
+UNORDERED_IDS = {"unordered_map", "unordered_set", "unordered_multimap",
+                 "unordered_multiset"}
+ORDERED_IDS = {"map", "set", "multimap", "multiset"}
+AMBIENT_CALLS = {"rand", "srand", "time", "clock"}
 
 PARALLEL_ENTRY = {"parallel_for", "parallel_tasks"}
 
@@ -534,37 +544,72 @@ class LiteParser:
 
     # -- context-free token scans --------------------------------------------
 
+    def _use(self, rule: str, t: Tok, what: str) -> None:
+        self.facts.token_uses.append(TokenUse(
+            file=self.rel, line=t.line, rule=rule, what=what))
+
+    def _ambient_call(self, i: int) -> bool:
+        """`rand(`/`time(`/... as a free or std:: call, not as a member
+        (`x.time(`, `p->clock(`) or another namespace's (`ns::time(`)."""
+        prev = self.tokens[i - 1].text if i else ""
+        if prev in {".", "->"}:
+            return False
+        if prev == "::":
+            return self._preceded_by_std(i) and (
+                i < 3 or self.tokens[i - 3].text not in {"::", ".", "->"})
+        return True
+
+    def _pointer_key(self, i: int) -> bool:
+        """std::map/set whose key type, written on one line, ends in `*`."""
+        tokens = self.tokens
+        if i + 1 >= len(tokens) or tokens[i + 1].text != "<":
+            return False
+        j = i + 2
+        while j < len(tokens) and tokens[j].line == tokens[i].line:
+            if tokens[j].text == "<":
+                return False
+            if tokens[j].text in {",", ">"}:
+                return j > i + 2 and tokens[j - 1].text == "*"
+            j += 1
+        return False
+
     def _scan_tokens_global(self) -> None:
         tokens = self.tokens
         for i, t in enumerate(tokens):
+            nxt = tokens[i + 1].text if i + 1 < len(tokens) else ""
             if t.kind == "id":
                 if t.text in SYNC_TYPES and self._preceded_by_std(i):
-                    self.facts.sync_uses.append(TokenUse(
-                        file=self.rel, line=t.line, what=f"std::{t.text}"))
+                    self._use("sync-wrapper", t, f"direct std::{t.text}")
+                elif t.text in CLOCK_IDS:
+                    self._use("clock", t, f"direct {t.text} read")
+                elif t.text in UNORDERED_IDS:
+                    self._use("unordered", t, f"std::{t.text}")
+                elif t.text in ORDERED_IDS and self._preceded_by_std(i) and \
+                        self._pointer_key(i):
+                    self._use("ptr-key", t, f"pointer-keyed std::{t.text}")
+                elif t.text == "random_device":
+                    self._use("rng-contract", t, "std::random_device")
+                elif t.text in AMBIENT_CALLS and nxt == "(" and \
+                        self._ambient_call(i):
+                    self._use("rng-contract", t, f"ambient {t.text}() call")
                 elif t.text == "xoshiro256ss":
                     prev = tokens[i - 1].text if i else ""
                     if prev in {"struct", "class"}:
                         continue  # the type's own definition, not a use
-                    nxt = tokens[i + 1] if i + 1 < len(tokens) else None
-                    if nxt is not None and (
-                            nxt.text in {"{", "("} or
-                            (nxt.kind == "id" and i + 2 < len(tokens) and
-                             tokens[i + 2].text in {"{", "(", ";"})):
-                        self.facts.rng_uses.append(TokenUse(
-                            file=self.rel, line=t.line,
-                            what="xoshiro256ss construction"))
-                elif t.text == "splitmix64":
-                    if i + 1 < len(tokens) and tokens[i + 1].text == "(":
-                        self.facts.rng_uses.append(TokenUse(
-                            file=self.rel, line=t.line,
-                            what="splitmix64() call"))
+                    if nxt in {"{", "("} or (
+                            i + 2 < len(tokens) and
+                            tokens[i + 1].kind == "id" and
+                            tokens[i + 2].text in {"{", "(", ";"}):
+                        self._use("rng-contract", t,
+                                  "xoshiro256ss construction")
+                elif t.text == "splitmix64" and nxt == "(":
+                    self._use("rng-contract", t, "splitmix64() call")
             elif t.kind == "num":
                 norm = t.text.lower().replace("'", "")
                 norm = norm.rstrip("ul")
                 if norm in RNG_MAGIC:
-                    self.facts.rng_uses.append(TokenUse(
-                        file=self.rel, line=t.line,
-                        what=f"stream-derivation constant {norm}"))
+                    self._use("rng-contract", t,
+                              f"stream-derivation constant {norm}")
 
 
 def parse_file(path: Path, rel: str, text: str | None = None) -> FileFacts:

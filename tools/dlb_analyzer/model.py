@@ -13,8 +13,7 @@ from pathlib import Path
 
 SOURCE_SUFFIXES = {".cpp", ".hpp", ".h", ".cc", ".cxx", ".hxx"}
 
-# Marker grammar shared with tools/determinism_lint.py (same shape, distinct
-# tool tag so an allowance is always explicit about which gate it addresses).
+# Allow-comment tag: `// dlb-analyzer: allow(<rule>) <reason>`.
 ALLOW_TAG = "dlb-analyzer"
 
 
@@ -42,11 +41,12 @@ class WriteSite:
 
 @dataclass
 class TokenUse:
-    """A banned-token occurrence (sync primitive, rng construction, ...)."""
+    """A banned-token occurrence, tagged with the lexical rule it breaks."""
 
     file: str
     line: int
-    what: str            # e.g. 'std::mutex', 'xoshiro256ss{...}'
+    rule: str            # a key of rules.TOKEN_RULES
+    what: str            # e.g. 'direct std::mutex', 'std::unordered_map'
 
 
 @dataclass
@@ -84,8 +84,7 @@ class FileFacts:
     raw_lines: list[str] = field(default_factory=list)  # for allow comments
     functions: list[FunctionInfo] = field(default_factory=list)
     write_sites: list[WriteSite] = field(default_factory=list)
-    sync_uses: list[TokenUse] = field(default_factory=list)
-    rng_uses: list[TokenUse] = field(default_factory=list)
+    token_uses: list[TokenUse] = field(default_factory=list)
     mutex_members: list[MutexMember] = field(default_factory=list)
     guard_assocs: list[GuardAssoc] = field(default_factory=list)
     float_accums: list[FloatAccum] = field(default_factory=list)

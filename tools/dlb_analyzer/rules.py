@@ -1,4 +1,4 @@
-"""The four contract rules, applied to the merged facts of the whole tree.
+"""The contract rules, applied to the merged facts of the whole tree.
 
 Rules see only the frontend-neutral facts model, so the libclang and lite
 frontends are interchangeable; everything here is pure Python over those
@@ -12,16 +12,31 @@ from pathlib import Path
 
 from model import ALLOW_TAG, FileFacts, Finding
 
-RULES = ("atomic-write", "sync-wrapper", "rng-contract", "nondet-reduce")
-
 # util/tempfile's protocol surface: a write site whose enclosing function can
 # reach one of these is writing to a temp path that gets renamed into place.
 TEMPFILE_ENTRY = {"temp_path_for"}
 
 # Files that *are* the sanctioned implementation of a contract.
 TEMPFILE_IMPL = ("src/util/tempfile",)
-SYNC_IMPL = ("src/util/sync.hpp",)
-RNG_IMPL = ("src/util/rng.hpp",)
+
+# Lexical rules over FileFacts.token_uses: rule -> (the files where the
+# construct is sanctioned, what the finding tells the reader to do).
+TOKEN_RULES: dict[str, tuple[tuple[str, ...], str]] = {
+    "sync-wrapper": (("src/util/sync.hpp",),
+                     "outside util/sync.hpp; use the annotated dlb:: "
+                     "wrappers"),
+    "rng-contract": (("src/util/rng.hpp",),
+                     "outside util/rng.hpp's dispatch surface; derive "
+                     "streams via stream_for/draw_u64/tagged_rng so "
+                     "rng_version bumps stay one-file"),
+    "clock": (("src/util/timer.hpp",),
+              "outside util/timer.hpp; take timestamps from now_ns()"),
+    "unordered": ((), "can leak hash iteration order into reports and "
+                      "merges; use std::map/std::set or sort before "
+                      "iterating"),
+    "ptr-key": ((), "iterates in allocation order; key on a stable id "
+                    "instead"),
+}
 
 ALLOW_RE = re.compile(
     rf"//\s*{ALLOW_TAG}:\s*allow\(([\w, -]+)\)\s*(.*)")
@@ -111,19 +126,23 @@ def run_rules(all_facts: list[FileFacts]) -> list[Finding]:
                          "temp_path_for(path) and rename into place"),
                 snippet=_snippet(facts_by_rel, facts.rel, site.line)))
 
-    # ---- sync-wrapper ------------------------------------------------------
+    # ---- lexical rules (sync-wrapper tokens, rng-contract, clock, ...) ----
+    for facts in all_facts:
+        for use in facts.token_uses:
+            home, advice = TOKEN_RULES[use.rule]
+            if facts.rel.startswith(home):
+                continue
+            findings.append(Finding(
+                file=facts.rel, line=use.line, rule=use.rule,
+                message=f"{use.what} {advice}",
+                snippet=_snippet(facts_by_rel, facts.rel, use.line)))
+
+    # ---- sync-wrapper: every dlb::mutex member guards something ----------
     guards_by_cls: dict[str, set[str]] = {}
     for facts in all_facts:
         for assoc in facts.guard_assocs:
             guards_by_cls.setdefault(assoc.cls, set()).add(assoc.mutex)
     for facts in all_facts:
-        if not facts.rel.startswith(SYNC_IMPL):
-            for use in facts.sync_uses:
-                findings.append(Finding(
-                    file=facts.rel, line=use.line, rule="sync-wrapper",
-                    message=(f"direct {use.what} outside util/sync.hpp; use "
-                             "the annotated dlb:: wrappers"),
-                    snippet=_snippet(facts_by_rel, facts.rel, use.line)))
         for member in facts.mutex_members:
             if member.member not in guards_by_cls.get(member.cls, set()):
                 findings.append(Finding(
@@ -133,18 +152,6 @@ def run_rules(all_facts: list[FileFacts]) -> list[Finding]:
                              f"{member.member}) field association; annotate "
                              "the data it protects"),
                     snippet=_snippet(facts_by_rel, facts.rel, member.line)))
-
-    # ---- rng-contract ------------------------------------------------------
-    for facts in all_facts:
-        if facts.rel.startswith(RNG_IMPL):
-            continue
-        for use in facts.rng_uses:
-            findings.append(Finding(
-                file=facts.rel, line=use.line, rule="rng-contract",
-                message=(f"{use.what} outside util/rng.hpp's dispatch "
-                         "surface; derive streams via stream_for/draw_u64/"
-                         "tagged_rng so rng_version bumps stay one-file"),
-                snippet=_snippet(facts_by_rel, facts.rel, use.line)))
 
     # ---- nondet-reduce -----------------------------------------------------
     for facts in all_facts:
@@ -169,40 +176,33 @@ def run_rules(all_facts: list[FileFacts]) -> list[Finding]:
 def apply_allows(findings: list[Finding],
                  all_facts: list[FileFacts]) -> list[Finding]:
     """Filters findings carrying a reason-bearing allow comment on the same
-    line or the line above; allow comments with an empty reason become
-    findings themselves (mirroring tools/determinism_lint.py)."""
+    line or the line above. A matching allow comment with an empty reason
+    still suppresses the finding but is reported in its place, at the
+    finding's line, once per line."""
     facts_by_rel = {f.rel: f for f in all_facts}
     out: list[Finding] = []
-    used_empty: set[tuple[str, int]] = set()
+    reported_empty: set[tuple[str, int]] = set()
     for finding in findings:
         facts = facts_by_rel.get(finding.file)
-        allowed = False
-        if facts:
-            for line_no in (finding.line, finding.line - 1):
-                if not 1 <= line_no <= len(facts.raw_lines):
-                    continue
+        marker = None
+        for line_no in (finding.line, finding.line - 1):
+            if facts and 1 <= line_no <= len(facts.raw_lines):
                 m = ALLOW_RE.search(facts.raw_lines[line_no - 1])
-                if not m:
-                    continue
-                rules = {r.strip() for r in m.group(1).split(",")}
-                if finding.rule not in rules:
-                    continue
-                if not m.group(2).strip():
-                    if (finding.file, line_no) not in used_empty:
-                        used_empty.add((finding.file, line_no))
-                        out.append(Finding(
-                            file=finding.file, line=line_no,
-                            rule="empty-allow-reason",
-                            message=(f"allow({finding.rule}) without a "
-                                     "reason; say why the contract does not "
-                                     "apply here"),
-                            snippet=facts.raw_lines[line_no - 1]))
-                    allowed = True  # suppressed, but flagged for the reason
+                if m and finding.rule in {r.strip()
+                                          for r in m.group(1).split(",")}:
+                    marker = (line_no, m.group(2).strip())
                     break
-                allowed = True
-                break
-        if not allowed:
+        if marker is None:
             out.append(finding)
+        elif not marker[1] and \
+                (finding.file, finding.line) not in reported_empty:
+            reported_empty.add((finding.file, finding.line))
+            out.append(Finding(
+                file=finding.file, line=finding.line,
+                rule="empty-allow-reason",
+                message=(f"allow({finding.rule}) on line {marker[0]} has no "
+                         "reason; say why the contract does not apply here"),
+                snippet=finding.snippet))
     return out
 
 

@@ -18,7 +18,8 @@ Rules
   duplicate-key    the same scalar key assigned twice
 
 The value tables are duplicated from C++ by design (this tool must not need
-a build); `--check-tables` greps the sources and fails when they drift.
+a build); `--check-tables` compares them with the name lists in
+src/campaign/registry.cpp both ways and fails when they drift.
 
 Exit codes: 0 clean, 1 findings/self-test mismatch, 2 usage error.
 
@@ -31,35 +32,30 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from collections import Counter
 from pathlib import Path
 
 # ---- value tables (mirrors of the C++ single sources of truth) --------------
 
-# (values, file that owns them, anchor snippet for the drift check)
-ENUM_TABLES: dict[str, tuple[set[str], str]] = {
-    "topology": ({"torus", "grid", "hypercube", "cycle", "path", "complete",
-                  "star", "random_regular", "erdos_renyi", "rgg"},
-                 "src/campaign/registry.cpp"),
-    "load": ({"point", "balanced", "random", "wavefront", "bimodal",
-              "adversarial_corner"},
-             "src/campaign/registry.cpp"),
-    "workload": ({"static", "poisson", "burst", "drain"},
-                 "src/campaign/workload.cpp"),
-    "scheme": ({"fos", "sos"}, "src/campaign/campaign_executor.cpp"),
-    "rounding": ({"randomized", "floor", "nearest", "bernoulli_edge"},
-                 "src/campaign/campaign_executor.cpp"),
-    "process": ({"discrete", "continuous", "cumulative"},
-                "src/campaign/campaign_executor.cpp"),
-    "policy": ({"allow", "prevent"}, "src/campaign/campaign_executor.cpp"),
-    "alpha": ({"max_degree_plus_one", "uniform_gamma_d"},
-              "src/campaign/campaign_executor.cpp"),
-    "speeds": ({"uniform", "bimodal", "zipf"},
-               "src/campaign/campaign_executor.cpp"),
-    "switch": ({"never", "at_round", "local", "global"},
-               "src/campaign/campaign_executor.cpp"),
+# Accepted names per enum field, mirroring registry::value_names() in
+# src/campaign/registry.cpp (REGISTRY_CPP); --check-tables compares the two.
+ENUM_TABLES: dict[str, set[str]] = {
+    "topology": {"torus", "grid", "hypercube", "cycle", "path", "complete",
+                 "star", "random_regular", "erdos_renyi", "rgg"},
+    "load": {"point", "balanced", "random", "wavefront", "bimodal",
+             "adversarial_corner"},
+    "workload": {"static", "poisson", "burst", "drain"},
+    "scheme": {"fos", "sos", "chebyshev"},
+    "rounding": {"randomized", "floor", "nearest", "bernoulli_edge"},
+    "process": {"discrete", "continuous", "cumulative"},
+    "policy": {"allow", "prevent"},
+    "alpha": {"max_degree_plus_one", "uniform_gamma_d"},
+    "speeds": {"uniform", "bimodal", "zipf"},
+    "switch": {"never", "at_round", "local", "global"},
 }
+REGISTRY_CPP = "campaign/registry.cpp"
 
 INT_FIELDS = {"nodes", "rounds", "tokens_per_node", "workload_amount",
               "workload_period", "rng_version", "seed"}
@@ -90,7 +86,7 @@ class Finding:
 def check_value(field: str, value: str, where: str) -> tuple[str, str] | None:
     """Returns (rule, message) when `value` is invalid for `field`."""
     if field in ENUM_TABLES:
-        table, _src = ENUM_TABLES[field]
+        table = ENUM_TABLES[field]
         if value not in table:
             return ("bad-value",
                     f"{where}: '{value}' is not a known {field} "
@@ -221,22 +217,36 @@ def lint_spec(path: Path, rel: str) -> list[Finding]:
 
 # ---- drift guard ------------------------------------------------------------
 
+def cpp_value_lists(text: str) -> dict[str, set[str]]:
+    """The name lists in registry.cpp: value_names()'s `{"field", {...}}`
+    entries, plus the topology family table's `{"name", <uses_seed>,` rows."""
+    lists = {m.group(1): set(re.findall(r'"(\w+)"', m.group(2)))
+             for m in re.finditer(r'\{"(\w+)",\s*\{([^{}]*)\}\}', text)}
+    lists["topology"] = set(re.findall(
+        r'^\s*\{"(\w+)",\s*(?:true|false),', text, re.MULTILINE))
+    return lists
+
+
 def check_tables(src_root: Path) -> list[str]:
-    """Verifies every enum value (and every field name) still appears as a
-    quoted string in the C++ file that owns it, so edits to the registry
-    can't silently outrun this linter."""
+    """Compares ENUM_TABLES with the C++ name lists both ways, and checks
+    every field name still appears in spec.cpp, so edits to either side
+    can't silently outrun the other."""
     problems: list[str] = []
-    for field, (values, rel) in sorted(ENUM_TABLES.items()):
-        source = src_root / Path(rel).relative_to("src")
-        if not source.exists():
-            problems.append(f"{rel}: file missing (table for '{field}')")
-            continue
-        text = source.read_text(encoding="utf-8", errors="replace")
-        for value in sorted(values):
-            if f'"{value}"' not in text:
-                problems.append(
-                    f"{rel}: '{value}' (table for '{field}') not found; "
-                    "update ENUM_TABLES in tools/spec_lint.py")
+    registry = src_root / REGISTRY_CPP
+    if not registry.exists():
+        return [f"src/{REGISTRY_CPP}: file missing"]
+    cpp = cpp_value_lists(
+        registry.read_text(encoding="utf-8", errors="replace"))
+    for field in sorted(set(ENUM_TABLES) | set(cpp)):
+        ours, theirs = ENUM_TABLES.get(field, set()), cpp.get(field, set())
+        for value in sorted(ours - theirs):
+            problems.append(
+                f"src/{REGISTRY_CPP}: '{value}' (table for '{field}') not "
+                "found; update ENUM_TABLES in tools/spec_lint.py")
+        for value in sorted(theirs - ours):
+            problems.append(
+                f"src/{REGISTRY_CPP}: '{value}' accepted for '{field}' but "
+                "missing from ENUM_TABLES in tools/spec_lint.py")
     spec_cpp = src_root / "campaign/spec.cpp"
     if spec_cpp.exists():
         text = spec_cpp.read_text(encoding="utf-8", errors="replace")
