@@ -3,30 +3,34 @@
 #include <algorithm>
 #include <iomanip>
 #include <ostream>
+#include <sstream>
 
 #include "util/csv.hpp"
+#include "util/tempfile.hpp"
 
 namespace dlb {
 
 void write_csv(const std::string& path, const time_series& series)
 {
-    csv_writer csv(path,
-                   {"round", "max_minus_average", "max_local_difference",
-                    "potential_over_n", "min_load", "min_transient_load",
-                    "deviation_from_twin", "total_load_error"});
+    // The whole file is built in memory and saved through the atomic
+    // writer, so a failed write throws instead of leaving a truncated file.
+    std::ostringstream bytes;
+    bytes << "round,max_minus_average,max_local_difference,potential_over_n,"
+             "min_load,min_transient_load,deviation_from_twin,"
+             "total_load_error\n";
     for (std::size_t i = 0; i < series.size(); ++i) {
         auto cell = [&](const std::vector<double>& column) {
             return column.empty() ? std::string{} : format_double(column[i]);
         };
-        csv.row({std::to_string(series.rounds[i]),
-                 cell(series.max_minus_average),
-                 cell(series.max_local_difference),
-                 cell(series.potential_over_n),
-                 cell(series.min_load),
-                 cell(series.min_transient_load),
-                 cell(series.deviation_from_twin),
-                 cell(series.total_load_error)});
+        bytes << series.rounds[i] << ',' << cell(series.max_minus_average)
+              << ',' << cell(series.max_local_difference) << ','
+              << cell(series.potential_over_n) << ','
+              << cell(series.min_load) << ','
+              << cell(series.min_transient_load) << ','
+              << cell(series.deviation_from_twin) << ','
+              << cell(series.total_load_error) << '\n';
     }
+    write_file_atomic(path, bytes.str(), "series");
 }
 
 void print_summary(std::ostream& out, const std::string& label,

@@ -33,7 +33,9 @@ struct time_series {
     std::size_t size() const noexcept { return rounds.size(); }
 };
 
-/// Writes the series as CSV with a fixed column set.
+/// Writes the series as CSV with a fixed column set, atomically
+/// (util/tempfile.hpp): on failure it throws std::runtime_error and leaves
+/// neither a partial file nor a temp behind.
 void write_csv(const std::string& path, const time_series& series);
 
 /// Compact human-readable summary (first/last values, minima, plateau).

@@ -54,21 +54,23 @@ void write_file_atomic(const std::string& path, std::string_view bytes,
 {
     // Cleanup uses the non-throwing remove overload so a failing cleanup
     // (the same unwritable directory, usually) can never mask the original
-    // error with a secondary filesystem_error.
+    // error with a secondary filesystem_error. Write errors name the
+    // destination, not the pid-stamped temp, so a failed series write's
+    // error row reads the same in every run.
     const std::string temp = temp_path_for(path);
     std::error_code cleanup_ec;
     {
         std::ofstream out(temp, std::ios::binary | std::ios::trunc);
         if (!out)
             throw std::runtime_error(std::string(what) + ": cannot write " +
-                                     temp);
+                                     path);
         out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
         out.flush();
         if (!out) {
             out.close();
             std::filesystem::remove(temp, cleanup_ec);
             throw std::runtime_error(std::string(what) +
-                                     ": write failed for " + temp);
+                                     ": write failed for " + path);
         }
     }
     std::error_code ec;

@@ -2,11 +2,14 @@
 // spec-file parsing, and thread-count-independent campaign reports.
 #include <gtest/gtest.h>
 
+#include <csignal>
 #include <filesystem>
 #include <fstream>
 #include <numeric>
 #include <set>
 #include <sstream>
+
+#include <sys/resource.h> // setrlimit(RLIMIT_FSIZE)
 
 #include "campaign/campaign_executor.hpp"
 #include "campaign/registry.hpp"
@@ -447,6 +450,41 @@ TEST(CampaignExecutor, SeriesDirWritesPerRoundCurves)
         std::filesystem::remove(path);
     }
     std::filesystem::remove(options.series_dir);
+}
+
+// A series file that cannot be written whole is an error row, not a
+// silently truncated curve. The file-size limit sits below the series'
+// size and SIGXFSZ is ignored, so the write fails with EFBIG; the scenario
+// errors naming the series write and leaves neither a partial file nor a
+// temp behind.
+TEST(CampaignExecutor, FailedSeriesWriteIsAnErrorRow)
+{
+    campaign_spec spec;
+    spec.base.nodes = 16;
+    spec.base.rounds = 2000;
+    spec.base.scheme = "fos";
+
+    campaign_options options;
+    options.threads = 1;
+    options.record_every = 1;
+    options.series_dir = ::testing::TempDir() + "dlb_campaign_series_fsize";
+    std::filesystem::remove_all(options.series_dir);
+
+    rlimit saved{};
+    ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &saved), 0);
+    rlimit capped = saved;
+    capped.rlim_cur = 4096;
+    const auto previous = std::signal(SIGXFSZ, SIG_IGN);
+    ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &capped), 0);
+    const auto result = run_campaign(spec, options);
+    ::setrlimit(RLIMIT_FSIZE, &saved);
+    std::signal(SIGXFSZ, previous);
+
+    ASSERT_EQ(result.scenarios.size(), 1u);
+    const std::string& error = result.scenarios[0].error;
+    EXPECT_NE(error.find("series"), std::string::npos) << error;
+    EXPECT_TRUE(std::filesystem::is_empty(options.series_dir));
+    std::filesystem::remove_all(options.series_dir);
 }
 
 TEST(CampaignReport, CsvShapeMatchesHeader)

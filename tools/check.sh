@@ -21,7 +21,7 @@ run() {
 }
 
 run "$python" "$root/tools/spec_lint.py" --check-tables "$root/src" \
-    "$root"/specs/*.spec
+    "$root"/specs/*.spec "$root"/specs/paper/*.spec
 run "$python" "$root/tools/spec_lint.py" --self-test "$root/tests/spec_fixtures"
 
 run "$python" "$root/tools/dlb_analyzer" --base "$root" --root src \

@@ -550,9 +550,16 @@ class LiteParser:
 
     def _ambient_call(self, i: int) -> bool:
         """`rand(`/`time(`/... as a free or std:: call, not as a member
-        (`x.time(`, `p->clock(`) or another namespace's (`ns::time(`)."""
-        prev = self.tokens[i - 1].text if i else ""
-        if prev in {".", "->"}:
+        (`x.time(`, `p->clock(`), another namespace's (`ns::time(`,
+        `stopwatch::time(` in a qualified declarator) or a declaration: the
+        name after a type name or `auto` (`double time() const;`,
+        `auto rand() -> int;`) or after `~`."""
+        prev_tok = self.tokens[i - 1] if i else None
+        prev = prev_tok.text if prev_tok is not None else ""
+        if prev in {".", "->", "~"}:
+            return False
+        if prev_tok is not None and prev_tok.kind == "id" and \
+                prev not in KEYWORDS:
             return False
         if prev == "::":
             return self._preceded_by_std(i) and (
